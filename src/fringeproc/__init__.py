@@ -8,7 +8,7 @@ Library layout:
 - ``maps``: orientation/direction/encoding types and conversions
 - ``orientation``: classical estimators (gradient, combined plane-fit/gradient)
 - ``network`` / ``training``: the multi-path residual CNN, from scratch
-- ``unwrap``: reliability-sorted 2D unwrapping, orientation -> direction lift
+- ``unwrap``: spanning-tree 2D unwrapping, orientation -> direction lift
 - ``hst``: spiral-phase quadrature and phase demodulation
 - ``metrics``: orientation error, channel RMSE, piston-free phase RMSE
 - ``cli``: the ``fringeproc`` command-line surface

@@ -50,6 +50,8 @@ from fringeproc.simulate import (
 from fringeproc.training import TrainConfig, load_samples, loss_mse, train
 from fringeproc.unwrap import orientation_to_direction
 
+pytestmark = pytest.mark.slow
+
 
 def report(criterion: int, name: str, ok: bool, detail: str, started: float,
            budget_s: float):

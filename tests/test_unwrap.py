@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fringeproc
 from fringeproc.errors import NumericalError
 from fringeproc.maps import OrientationMap, circular_direction_error
 from fringeproc.simulate import (
@@ -74,6 +79,117 @@ class TestUnwrapPhase2D:
         assert np.abs(dev - dev[0, 0]).max() < 1e-6
 
 
+def merge_loop_unwrap(wrapped):
+    """The reliability-sorted region-merging loop the package used to run.
+
+    Frozen here as the oracle for the spanning-tree unwrap: edges in the
+    stable order of decreasing summed reliability, smaller region shifted
+    into the larger by the 2*pi multiple that makes the joining pixels agree.
+    """
+    wrapped = np.asarray(wrapped, dtype=np.float64)
+    rows, cols = wrapped.shape
+    n = rows * cols
+    rel = reliability_map(wrapped).ravel()
+    flat = wrapped.ravel()
+    idx = np.arange(n).reshape(rows, cols)
+    edge_a = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    edge_b = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    order = np.argsort(-(rel[edge_a] + rel[edge_b]), kind="stable")
+    comp = np.arange(n)
+    members = [[i] for i in range(n)]
+    k = np.zeros(n)
+    for e in order:
+        a = int(edge_a[e])
+        b = int(edge_b[e])
+        ra, rb = comp[a], comp[b]
+        if ra == rb:
+            continue
+        va = flat[a] + TAU * k[a]
+        vb = flat[b] + TAU * k[b]
+        shift = np.round((va - vb) / TAU)
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+            shift = -shift
+        moved = members[rb]
+        if shift != 0.0:
+            k[moved] += shift
+        comp[moved] = ra
+        members[ra].extend(moved)
+        members[rb] = None
+    out = flat + TAU * k
+    out -= TAU * k[int(np.argmax(rel))]
+    return out.reshape(rows, cols)
+
+
+def golden_maps():
+    rng = np.random.default_rng(20231015)
+    noisy_peaks = gen_peaks_phase(256, 5.0) + 0.5 * rng.standard_normal((256, 256))
+    return {
+        "uniform-noise-256": rng.uniform(-np.pi, np.pi, (256, 256)),
+        "noisy-peaks-256": wrap(noisy_peaks),
+        "noise-37x91": rng.uniform(-np.pi, np.pi, (37, 91)),
+        "noise-2xN": rng.uniform(-np.pi, np.pi, (2, 50)),
+        "noise-3x3": rng.uniform(-np.pi, np.pi, (3, 3)),
+        "constant": np.full((16, 24), 1.25),
+        # a tiled block repeats every reliability bit for bit
+        "tied": np.tile(rng.uniform(-np.pi, np.pi, (4, 4)), (8, 12)),
+    }
+
+
+class TestAgainstMergeLoop:
+    @pytest.mark.parametrize("name", sorted(golden_maps()))
+    def test_same_counts_and_anchor(self, name):
+        wrapped = golden_maps()[name]
+        want = merge_loop_unwrap(wrapped)
+        got = unwrap_phase_2d(wrapped)
+        np.testing.assert_array_equal(np.round((got - wrapped) / TAU),
+                                      np.round((want - wrapped) / TAU))
+        assert np.abs(got - want).max() <= 1e-12
+        anchor = np.unravel_index(np.argmax(reliability_map(wrapped)), wrapped.shape)
+        assert got[anchor] == wrapped[anchor]
+
+    def test_noise_map_has_residues(self):
+        # the uniform-noise case exercises a residue-riddled tree, not a smooth one
+        wrapped = golden_maps()["uniform-noise-256"]
+        counts = np.round((unwrap_phase_2d(wrapped) - wrapped) / TAU)
+        assert np.ptp(counts) > 10
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        wrapped = np.zeros((16, 16))
+        wrapped[5, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            unwrap_phase_2d(wrapped)
+
+    def test_non_2d_rejected(self):
+        with pytest.raises(ValueError, match="2D"):
+            unwrap_phase_2d(np.zeros(16))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_map_rejected(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            unwrap_phase_2d(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 40), (40, 1), (1, 1)])
+    def test_single_row_or_column_unwraps_as_1d(self, shape):
+        true = 0.9 * np.arange(shape[0] * shape[1]) + 1.0
+        wrapped = wrap(true).reshape(shape)
+        out = unwrap_phase_2d(wrapped)
+        assert out.shape == shape
+        np.testing.assert_allclose(out.ravel(), np.unwrap(wrapped.ravel()), atol=1e-12)
+
+
+def test_import_leaves_scipy_sparse_out():
+    src = os.path.dirname(os.path.dirname(fringeproc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, fringeproc; print('scipy.sparse' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 class TestReliability:
     def test_finite_and_nonnegative(self):
         rng = np.random.default_rng(1)
@@ -85,6 +201,15 @@ class TestReliability:
         assert np.all(rel[0, :] == 0) and np.all(rel[:, 0] == 0)
         assert rel[1:-1, 1:-1].min() > 0
 
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 9), (9, 2)])
+    def test_no_interior_gives_zeros(self, shape):
+        rel = reliability_map(np.ones(shape))
+        assert rel.shape == shape and not rel.any()
+
+    def test_empty_map_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            reliability_map(np.zeros((0, 9)))
+
 
 class TestOrientationToDirection:
     def test_constant_orientation(self):
@@ -94,6 +219,13 @@ class TestOrientationToDirection:
         err = branch_error(direction, np.full((32, 32), np.pi / 2))
         assert err < 1e-12
         assert direction[anchor["row"], anchor["col"]] == anchor["direction"]
+
+    def test_anchor_is_most_reliable_pixel(self):
+        truth = 2.0 * peaks_surface(64)
+        fo = full_map(np.mod(truth, np.pi))
+        _, anchor = orientation_to_direction(fo)
+        flat = np.argmax(reliability_map(2.0 * fo.angles))
+        assert (anchor["row"], anchor["col"]) == np.unravel_index(flat, fo.shape)
 
     @pytest.mark.parametrize("coeff", [2.0, 5.0])
     def test_scaled_peaks_direction_field(self, coeff):
