@@ -352,7 +352,7 @@ def cmd_evaluate(args) -> int:
 def _benchmark_case(payload):
     """One sweep case: simulate, prefilter, run each method, return OE rows."""
     (a, noise_std, rep, case_seed, size, period, theta, window,
-     methods, model_path, emit_dir, border) = payload
+     methods, weights, emit_dir, border) = payload
     shape = (size, size)
     phase = gen_peaks_phase(size, a) + gen_carrier(shape, CarrierSpec(period, theta))
     fringe = render_fringe(phase)
@@ -367,7 +367,7 @@ def _benchmark_case(payload):
         elif method == "cpfg":
             fo = cpfg_orientation(pre, WindowSpec(window))
         else:
-            fo = infer_orientation(load_weights(model_path), pre)
+            fo = infer_orientation(weights, pre)
         oe = orientation_error(fo, gt, exclude_border=border)
         rows.append({"a": a, "noise_std": noise_std, "method": method,
                      "seed": case_seed, "oe": oe})
@@ -390,8 +390,8 @@ def cmd_benchmark(args) -> int:
         raise NumericalError("method deeporient requires --model")
     if not args.a_values or not methods:
         raise NumericalError("empty sweep")
-    if args.model:
-        load_weights(args.model)  # fail early on a bad file
+    # loaded once, and before any case runs so a bad file fails early
+    weights = load_weights(args.model) if args.model else None
 
     if args.emit_error_maps:
         Path(args.emit_error_maps).mkdir(parents=True, exist_ok=True)
@@ -403,7 +403,7 @@ def cmd_benchmark(args) -> int:
                 case_seed = derive_seed(args.seed, case_idx)
                 cases.append((a, noise_std, rep, case_seed, args.size,
                               args.period, args.theta, args.window, methods,
-                              args.model, args.emit_error_maps,
+                              weights, args.emit_error_maps,
                               args.exclude_border))
                 case_idx += 1
 

@@ -29,6 +29,10 @@ class NonFiniteSampleError(FormatError):
     pass
 
 
+class HeaderError(FormatError):
+    """A JSON header is unreadable or does not describe a valid configuration."""
+
+
 class ShapeAuditError(FormatError):
     """Stored tensors disagree with the configuration embedded in the file."""
 

@@ -7,23 +7,27 @@ upsample back to the input size; path outputs are concatenated and a final
 linear 3x3 conv produces the (sin 2FO, cos 2FO) channels. Same-padding
 everywhere so output height/width always equal the input's.
 
-Forward/backward are exact (no autograd): convolutions run as im2col matmuls,
-maxpool routes gradients through its argmax, nearest upsample block-sums them.
+Forward/backward are exact (no autograd). Convolutions run as one GEMM per
+cache-sized block of output rows: the k^2 kernel taps of the zero-padded,
+row-flattened input are contiguous shifted slices, stacked into a reused
+buffer, so no full im2col patch matrix is ever built. Maxpool routes gradients
+through its argmax, nearest upsample block-sums them.
 Weights live as float64 in memory and as float32 in the FPAW file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagicError,
+    HeaderError,
     NonFiniteSampleError,
     ShapeAuditError,
     TruncatedPayloadError,
@@ -52,8 +56,8 @@ class NetworkConfig:
             raise ValueError("filters must be positive")
         if self.blocks_per_path < 1:
             raise ValueError("blocks_per_path must be positive")
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ValueError("kernel_size must be positive and odd")
 
     @property
     def size_divisor(self) -> int:
@@ -152,32 +156,67 @@ def build_network(cfg: NetworkConfig, init_seed: int) -> ModelWeights:
 # Layer primitives (forward + exact backward)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(C, H, W) -> (H*W, C*k*k) patch matrix with same-padding."""
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (C, H, W, k, k)
-    h, w = x.shape[1], x.shape[2]
-    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, -1)
+# Bytes of float64 in one block of shifted rows (~1 MB): large enough for
+# BLAS to run at speed, small enough to stay in cache while it is filled.
+_BLOCK_BYTES = 1 << 20
+
+
+def _shifted_row_blocks(x: np.ndarray, k: int):
+    """Yield (r0, rows, block) covering the output rows of a same-padded conv.
+
+    x is zero-padded once and each channel flattened with row stride
+    Wp = W + 2p (plus one spare row), so the input under kernel tap (i, j) for
+    output rows r0..r0+rows-1 is the contiguous slice xf[:, off:off + rows*Wp]
+    with off = (r0 + i)*Wp + j. ``block`` stacks those k^2 slices tap-major,
+    channel-minor into a (k^2*Cin, rows*Wp) matrix; the last 2p columns of each
+    row are junk. The block's buffer is reused, so consume it before the next.
+    """
+    c, h, w = x.shape
+    p = k // 2
+    wp = w + 2 * p
+    xf = np.zeros((c, (h + 2 * p + 1) * wp))
+    xf.reshape(c, -1, wp)[:, p : p + h, p : p + w] = x
+    depth = k * k * c
+    rows = max(1, min(h, _BLOCK_BYTES // (8 * depth * wp)))
+    buf = np.empty(depth * rows * wp)
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0) * wp
+        block = buf[: depth * n].reshape(depth, n)
+        for i in range(k):
+            for j in range(k):
+                off = (r0 + i) * wp + j
+                tap = (i * k + j) * c
+                block[tap : tap + c] = xf[:, off : off + n]
+        yield r0, n // wp, block
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation with same-padding: (Cin,H,W) -> (Cout,H,W)."""
-    cout = w.shape[0]
-    k = w.shape[2]
+    cout, _, k, _ = w.shape
     h, ww = x.shape[1], x.shape[2]
-    out = _im2col(x, k) @ w.reshape(cout, -1).T
+    wp = ww + 2 * (k // 2)
+    w_mat = w.transpose(0, 2, 3, 1).reshape(cout, -1)
+    out = np.empty((cout, h, ww))
+    for r0, rows, block in _shifted_row_blocks(x, k):
+        out[:, r0 : r0 + rows] = (w_mat @ block).reshape(cout, rows, wp)[:, :, :ww]
     if b is not None:
-        out += b
-    return out.T.reshape(cout, h, ww)
+        out += b[:, np.newaxis, np.newaxis]
+    return out
 
 
 def conv2d_backward(d_out: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Gradients of conv2d_same w.r.t. input, kernel and bias."""
-    cout = w.shape[0]
-    k = w.shape[2]
-    d_mat = d_out.reshape(cout, -1).T  # (H*W, Cout)
-    dw = (d_mat.T @ _im2col(x, k)).reshape(w.shape)
+    cout, cin, k, _ = w.shape
+    h, ww = x.shape[1], x.shape[2]
+    wp = ww + 2 * (k // 2)
+    # zeros in the junk columns keep them out of the kernel gradient
+    d_pad = np.zeros((cout, h, wp))
+    d_pad[:, :, :ww] = d_out
+    d_flat = d_pad.reshape(cout, -1)
+    dw_mat = np.zeros((cout, k * k * cin))
+    for r0, rows, block in _shifted_row_blocks(x, k):
+        dw_mat += d_flat[:, r0 * wp : (r0 + rows) * wp] @ block.T
+    dw = np.ascontiguousarray(dw_mat.reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
     db = d_out.sum(axis=(1, 2))
     w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     dx = conv2d_same(d_out, w_flip)
@@ -334,17 +373,8 @@ def backward(weights: ModelWeights, img: np.ndarray,
 
 
 def infer_orientation(weights: ModelWeights, img: np.ndarray) -> OrientationMap:
-    """Forward, renormalize (sin, cos) to unit length, decode to [0, pi)."""
-    enc = forward(weights, img)
-    mag = np.hypot(enc.sin2, enc.cos2)
-    ok = mag**2 >= 1e-6
-    safe = np.where(ok, mag, 1.0)
-    return decode_orientation(
-        OrientationEncoding(
-            sin2=np.where(ok, enc.sin2 / safe, enc.sin2),
-            cos2=np.where(ok, enc.cos2 / safe, enc.cos2),
-        )
-    )
+    """Forward, then decode (sin, cos) to [0, pi); weak outputs are invalid."""
+    return decode_orientation(forward(weights, img))
 
 
 # --------------------------------------------------------------------------
@@ -372,6 +402,31 @@ def save_weights(weights: ModelWeights, path) -> None:
     os.replace(tmp, path)
 
 
+def _parse_header(blob: bytes, path) -> tuple[NetworkConfig, list[tuple]]:
+    """Decode the FPAW JSON header into its config and (name, shape) table."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+        raise HeaderError(f"{path}: unreadable JSON header ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise HeaderError(f"{path}: JSON header is not an object")
+    cfg_json, table = meta.get("config"), meta.get("tensors")
+    if not isinstance(cfg_json, dict) or not isinstance(table, list):
+        raise HeaderError(f"{path}: header needs a 'config' object and a 'tensors' list")
+    fields = ("paths", "filters", "blocks_per_path", "kernel_size")
+    if any(type(cfg_json.get(name)) is not int for name in fields):
+        raise HeaderError(f"{path}: config needs integer {', '.join(fields)}")
+    try:
+        cfg = NetworkConfig.from_json(cfg_json)
+    except ValueError as exc:
+        raise HeaderError(f"{path}: invalid config ({exc})") from exc
+    try:
+        stored = [(entry["name"], tuple(entry["shape"])) for entry in table]
+    except (KeyError, TypeError) as exc:
+        raise HeaderError(f"{path}: malformed tensor table") from exc
+    return cfg, stored
+
+
 def load_weights(path) -> ModelWeights:
     """Read FPAW and re-audit tensor shapes against the embedded config."""
     with open(path, "rb") as fh:
@@ -385,18 +440,16 @@ def load_weights(path) -> ModelWeights:
         raise VersionMismatchError(f"{path}: version {version}, expected {WEIGHTS_VERSION}")
     if len(raw) < _WHEADER.size + json_len:
         raise TruncatedPayloadError(f"{path}: truncated JSON header")
-    meta = json.loads(raw[_WHEADER.size : _WHEADER.size + json_len])
-    cfg = NetworkConfig.from_json(meta["config"])
+    cfg, stored = _parse_header(raw[_WHEADER.size : _WHEADER.size + json_len], path)
 
     expected = tensor_specs(cfg)
-    stored = [(entry["name"], tuple(entry["shape"])) for entry in meta["tensors"]]
     if stored != expected:
         raise ShapeAuditError(f"{path}: tensor table disagrees with the config")
 
     offset = _WHEADER.size + json_len
     tensors: dict[str, np.ndarray] = {}
     for name, shape in expected:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         end = offset + 4 * count
         if end > len(raw):
             raise TruncatedPayloadError(f"{path}: tensor {name} truncated")

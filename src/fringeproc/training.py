@@ -13,9 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from .container import read_container
-from .maps import OrientationEncoding, OrientationMap
+from .maps import OrientationEncoding, OrientationMap, decode_orientation
 from .metrics import orientation_error
-from .network import ModelWeights, NetworkConfig, backward, build_network, forward, infer_orientation
+from .network import (  # noqa: F401  infer_orientation: perfbench/spans.py traces it here
+    ModelWeights,
+    NetworkConfig,
+    backward,
+    build_network,
+    forward,
+    infer_orientation,
+)
 from .simulate import load_manifest, splitmix64
 
 
@@ -118,15 +125,14 @@ def load_samples(dataset_dir) -> list[Sample]:
 
 
 def evaluate_model(weights: ModelWeights, samples: list[Sample]):
-    """(mean loss, mean orientation error) over a sample list."""
+    """(mean loss, mean orientation error) over a sample list, one forward each."""
     losses = []
     oes = []
     for sample in samples:
         pred = forward(weights, sample.fringe)
         losses.append(loss_mse(pred, sample.encoding))
         if sample.fo is not None:
-            est = infer_orientation(weights, sample.fringe)
-            oes.append(orientation_error(est, sample.fo))
+            oes.append(orientation_error(decode_orientation(pred), sample.fo))
     mean_oe = float(np.mean(oes)) if oes else float("nan")
     return float(np.mean(losses)), mean_oe
 

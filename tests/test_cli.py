@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,9 @@ import pytest
 from fringeproc.cli import main
 from fringeproc.container import read_container, write_container
 from fringeproc.network import NetworkConfig, build_network, load_weights, save_weights
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(*argv):
@@ -151,6 +158,27 @@ class TestTrainInfer:
     def test_infer_missing_model_io_error(self, peaks_object, tmp_path):
         assert run("infer", "--model", tmp_path / "missing.fpaw",
                    "--input", peaks_object, "--out", tmp_path / "x.fpai") == 3
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.pop("config"), id="no-config"),
+        pytest.param(lambda h: h["config"].update(paths=9), id="paths-9"),
+    ])
+    def test_malformed_model_header_is_format_error(self, peaks_object, tiny_model,
+                                                     tmp_path, edit):
+        raw = tiny_model.read_bytes()
+        json_len = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12 : 12 + json_len])
+        edit(header)
+        blob = json.dumps(header).encode()
+        tiny_model.write_bytes(raw[:8] + len(blob).to_bytes(4, "little")
+                               + blob + raw[12 + json_len :])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fringeproc.cli", "infer", "--model", str(tiny_model),
+             "--input", str(peaks_object), "--out", str(tmp_path / "x.fpai")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "error:" in proc.stderr
 
 
 class TestPipeline:

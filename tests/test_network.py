@@ -1,8 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from fringeproc import network
 from fringeproc.errors import (
     BadMagicError,
+    HeaderError,
     ShapeAuditError,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -13,6 +19,8 @@ from fringeproc.network import (
     _forward_with_caches,
     backward,
     build_network,
+    conv2d_backward,
+    conv2d_same,
     forward,
     infer_orientation,
     load_weights,
@@ -49,6 +57,103 @@ def activation_signature(weights, img):
             parts.append((blk["h1"] > 0).tobytes())
             parts.append((blk["s"] > 0).tobytes())
     return b"".join(parts)
+
+
+def im2col(x, k):
+    """(C, H, W) -> (H*W, C*k*k) same-padded patch matrix: the conv oracle."""
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (C, H, W, k, k)
+    h, w = x.shape[1], x.shape[2]
+    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, -1)
+
+
+def im2col_conv(x, w, b):
+    cout = w.shape[0]
+    out = im2col(x, w.shape[2]) @ w.reshape(cout, -1).T + b
+    return out.T.reshape(cout, *x.shape[1:])
+
+
+def im2col_backward(d_out, x, w):
+    cout, cin, k, _ = w.shape
+    d_mat = d_out.reshape(cout, -1).T  # (H*W, Cout)
+    dw = (d_mat.T @ im2col(x, k)).reshape(w.shape)
+    # dx scatters each patch-row gradient back onto the padded input
+    d_cols = (d_mat @ w.reshape(cout, -1)).reshape(*x.shape[1:], cin, k, k)
+    h, wd = x.shape[1], x.shape[2]
+    pad = k // 2
+    dxp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, i : i + h, j : j + wd] += d_cols[:, :, :, i, j].transpose(2, 0, 1)
+    return dxp[:, pad : pad + h, pad : pad + wd], dw, d_out.sum(axis=(1, 2))
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestConv:
+    """conv2d_same / conv2d_backward against the im2col oracle."""
+
+    @pytest.mark.parametrize("cin,cout", [(1, 16), (16, 16), (32, 2)])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("shape", [(8, 8), (24, 40), (13, 19)])
+    def test_matches_im2col_oracle(self, cin, cout, k, shape):
+        rng = np.random.default_rng(cin * 100 + cout + k)
+        x = rng.standard_normal((cin, *shape))
+        w = rng.standard_normal((cout, cin, k, k))
+        b = rng.standard_normal(cout)
+        d_out = rng.standard_normal((cout, *shape))
+        out = conv2d_same(x, w, b)
+        assert out.shape == (cout, *shape)
+        assert rel_err(out, im2col_conv(x, w, b)) < 1e-12
+        for got, want in zip(conv2d_backward(d_out, x, w), im2col_backward(d_out, x, w)):
+            assert got.shape == want.shape
+            assert rel_err(got, want) < 1e-12
+
+    def test_height_not_divided_by_row_block(self, monkeypatch):
+        # 16 channels, k=3 at width 10: 144*12 doubles per row, so 4 rows per
+        # block and a last block of 3 rows for height 23
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 4 * 144 * 12 * 8)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((16, 23, 10))
+        w = rng.standard_normal((16, 16, 3, 3))
+        b = rng.standard_normal(16)
+        d_out = rng.standard_normal((16, 23, 10))
+        assert [rows for _, rows, _ in network._shifted_row_blocks(x, 3)] == [4] * 5 + [3]
+        assert rel_err(conv2d_same(x, w, b), im2col_conv(x, w, b)) < 1e-12
+        for got, want in zip(conv2d_backward(d_out, x, w), im2col_backward(d_out, x, w)):
+            assert rel_err(got, want) < 1e-12
+
+    def test_default_block_size_at_full_resolution(self):
+        # at 512 px wide one row of the final layer's 32 channels is over the
+        # block budget, so a block still holds one row; the single-channel
+        # input conv fits the whole (3-row) image in one block
+        x = np.zeros((32, 3, 512))
+        assert [rows for _, rows, _ in network._shifted_row_blocks(x, 3)] == [1, 1, 1]
+        assert [rows for _, rows, _ in network._shifted_row_blocks(x[:1], 3)] == [3]
+
+    def test_no_bias_and_gradients_contiguous(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((2, 8, 8))
+        w = rng.standard_normal((3, 2, 3, 3))
+        assert rel_err(conv2d_same(x, w), im2col_conv(x, w, np.zeros(3))) < 1e-12
+        dx, dw, _ = conv2d_backward(rng.standard_normal((3, 8, 8)), x, w)
+        assert dx.flags.c_contiguous and dw.flags.c_contiguous
+
+    def test_final_layer_memory_stays_near_input_size(self):
+        # a 32->2 conv at 256^2: its im2col matrix would be k^2 = 9x the input
+        # (151 MB); padded input plus one row block must stay well below that
+        x = np.random.default_rng(0).standard_normal((32, 256, 256))
+        w = np.random.default_rng(1).standard_normal((2, 32, 3, 3))
+        tracemalloc.start()
+        try:
+            conv2d_same(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
 
 class TestConfig:
@@ -294,6 +399,54 @@ class TestWeightsFile:
         w.tensors["final.b"] = np.zeros(3)
         with pytest.raises(ShapeAuditError):
             w.audit()
+
+    @staticmethod
+    def _with_header(path, header: bytes):
+        """Rewrite the FPAW file at path with a replacement JSON header."""
+        raw = path.read_bytes()
+        json_len = int.from_bytes(raw[8:12], "little")
+        path.write_bytes(raw[:8] + len(header).to_bytes(4, "little")
+                         + header + raw[12 + json_len :])
+
+    def _header(self, path):
+        raw = path.read_bytes()
+        return json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda h: h.pop("config"), id="no-config"),
+        pytest.param(lambda h: h.pop("tensors"), id="no-tensors"),
+        pytest.param(lambda h: h.update(config=[2, 2, 1, 3]), id="config-list"),
+        pytest.param(lambda h: h.update(tensors={"path1.in.w": [2, 1, 3, 3]}),
+                     id="tensors-object"),
+        pytest.param(lambda h: h.update(tensors=["path1.in.w"]), id="tensor-entry-string"),
+        pytest.param(lambda h: h["tensors"][0].pop("shape"), id="tensor-entry-no-shape"),
+        pytest.param(lambda h: h["config"].pop("filters"), id="no-filters"),
+        pytest.param(lambda h: h["config"].update(paths=9), id="paths-9"),
+        pytest.param(lambda h: h["config"].update(paths=2.0), id="paths-float"),
+        pytest.param(lambda h: h["config"].update(filters="2"), id="filters-string"),
+        pytest.param(lambda h: h["config"].update(filters=True), id="filters-bool"),
+        pytest.param(lambda h: h["config"].update(kernel_size=4), id="kernel-even"),
+        pytest.param(lambda h: h["config"].update(kernel_size=-1), id="kernel-negative"),
+        pytest.param(lambda h: h["config"].update(blocks_per_path=0), id="no-blocks"),
+    ])
+    def test_malformed_header_is_header_error(self, tmp_path, mutate):
+        path = tmp_path / "m.fpaw"
+        save_weights(self._float32_weights(), path)
+        header = self._header(path)
+        mutate(header)
+        self._with_header(path, json.dumps(header).encode())
+        with pytest.raises(HeaderError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("blob", [b"[1, 2]", b"null", b"{not json", b"\xff\xfe{}",
+                                      b"[" * 100_000],
+                             ids=["array", "null", "bad-json", "bad-utf8", "deep-nesting"])
+    def test_unreadable_header_is_header_error(self, tmp_path, blob):
+        path = tmp_path / "m.fpaw"
+        save_weights(self._float32_weights(), path)
+        self._with_header(path, blob)
+        with pytest.raises(HeaderError):
+            load_weights(path)
 
     def test_tensor_spec_order_is_stable(self):
         names = [n for n, _ in tensor_specs(TINY)]
