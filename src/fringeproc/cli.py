@@ -61,6 +61,10 @@ class StageError(Exception):
         self.original = original
 
 
+class UsageError(Exception):
+    """Arguments that parse but do not fit together (exit 2, as argparse)."""
+
+
 def _write_json(path, payload: dict) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -137,7 +141,7 @@ def cmd_simulate(args) -> int:
     shape = (args.rows, args.cols)
     if args.object == "peaks":
         if args.rows != args.cols:
-            raise NumericalError("peaks objects require a square grid")
+            raise UsageError("peaks objects require a square grid (--rows == --cols)")
         obj = gen_peaks_phase(args.rows, args.a)
     else:
         obj = gen_blob_mask_phase(shape, seed=args.seed, amplitude=args.a)
@@ -639,6 +643,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc.original, (FormatError, OSError)):

@@ -12,6 +12,9 @@ cache-sized block of output rows: the k^2 kernel taps of the zero-padded,
 row-flattened input are contiguous shifted slices, stacked into a reused
 buffer, so no full im2col patch matrix is ever built. Maxpool routes gradients
 through its argmax, nearest upsample block-sums them.
+``forward`` keeps nothing: ReLU and the residual add run in place, and each
+activation is dropped once the next layer has read it. ``backward`` caches
+only post-ReLU activations and takes every ReLU gate from them.
 Weights live as float64 in memory and as float32 in the FPAW file.
 """
 
@@ -260,54 +263,69 @@ def upsample_nearest_backward(d_out: np.ndarray, factor: int) -> np.ndarray:
 # Full network
 
 
-def _forward_with_caches(weights: ModelWeights, img: np.ndarray):
+def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
+    """The network pass behind ``forward`` and ``backward``: (output, caches).
+
+    ReLU and the residual add run in place, so every kept activation is
+    post-ReLU and ``backward`` reads each gate from it (relu(s) > 0 iff s > 0).
+    Unless ``record`` is set, caches is None and each activation is dropped as
+    soon as the next layer has consumed it. With ``record``, caches holds the
+    input "x0", the final conv's input "concat" and, per path, the input conv's
+    output "in", the pooling routes "pools" and per residual block "x_in",
+    "r1" (the inner ReLU) and "out" (the next block's "x_in").
+    """
     cfg = weights.config
     cfg.check_input_shape(img.shape)
     t = weights.tensors
+    f = cfg.filters
     x0 = np.asarray(img, dtype=np.float64)[np.newaxis]  # (1, H, W)
+    caches = {"x0": x0, "paths": []} if record else None
 
-    path_outputs = []
-    path_caches = []
+    # allocated after the first path, so it is not live during that path's
+    # full-resolution convolutions
+    concat = None
     for p in range(1, cfg.paths + 1):
-        cache: dict = {}
-        pre = conv2d_same(x0, t[f"path{p}.in.w"], t[f"path{p}.in.b"])
-        cache["in_pre"] = pre
-        h = np.maximum(pre, 0.0)
+        h = conv2d_same(x0, t[f"path{p}.in.w"], t[f"path{p}.in.b"])
+        np.maximum(h, 0.0, out=h)
+        if record:
+            cache = {"in": h, "pools": [], "blocks": []}
+            caches["paths"].append(cache)
 
-        pools = []
         for _ in range(p - 1):
             shape = h.shape
             h, idx = maxpool2(h)
-            pools.append((idx, shape))
-        cache["pools"] = pools
+            if record:
+                cache["pools"].append((idx, shape))
+            del idx
 
-        blocks = []
         for b in range(1, cfg.blocks_per_path + 1):
             x_in = h
-            h1 = conv2d_same(x_in, t[f"path{p}.block{b}.conv1.w"],
+            r1 = conv2d_same(x_in, t[f"path{p}.block{b}.conv1.w"],
                              t[f"path{p}.block{b}.conv1.b"])
-            r1 = np.maximum(h1, 0.0)
-            h2 = conv2d_same(r1, t[f"path{p}.block{b}.conv2.w"],
-                             t[f"path{p}.block{b}.conv2.b"])
-            s = x_in + h2
-            h = np.maximum(s, 0.0)
-            blocks.append({"x_in": x_in, "h1": h1, "r1": r1, "s": s})
-        cache["blocks"] = blocks
+            np.maximum(r1, 0.0, out=r1)
+            h = conv2d_same(r1, t[f"path{p}.block{b}.conv2.w"],
+                            t[f"path{p}.block{b}.conv2.b"])
+            h += x_in
+            np.maximum(h, 0.0, out=h)
+            if record:
+                cache["blocks"].append({"x_in": x_in, "r1": r1, "out": h})
+            del x_in, r1
 
+        if concat is None:
+            concat = np.empty((cfg.paths * f,) + x0.shape[1:])
         factor = 2 ** (p - 1)
-        if factor > 1:
-            h = upsample_nearest(h, factor)
-        path_outputs.append(h)
-        path_caches.append(cache)
+        concat[(p - 1) * f : p * f] = h if factor == 1 else upsample_nearest(h, factor)
+        del h
 
-    concat = np.concatenate(path_outputs, axis=0)
     out = conv2d_same(concat, t["final.w"], t["final.b"])
-    return out, {"x0": x0, "paths": path_caches, "concat": concat}
+    if record:
+        caches["concat"] = concat
+    return out, caches
 
 
 def forward(weights: ModelWeights, img: np.ndarray) -> OrientationEncoding:
     """Deterministic forward pass; output channels match the input size."""
-    out, _ = _forward_with_caches(weights, img)
+    out, _ = _forward(weights, img)
     return OrientationEncoding(sin2=out[0], cos2=out[1])
 
 
@@ -320,7 +338,7 @@ def backward(weights: ModelWeights, img: np.ndarray,
     """
     cfg = weights.config
     t = weights.tensors
-    out, caches = _forward_with_caches(weights, img)
+    out, caches = _forward(weights, img, record=True)
     target_arr = target.to_array()
     if target_arr.shape != out.shape:
         raise ValueError(f"target shape {target_arr.shape} != output {out.shape}")
@@ -347,13 +365,13 @@ def backward(weights: ModelWeights, img: np.ndarray,
 
         for b in range(cfg.blocks_per_path, 0, -1):
             blk = cache["blocks"][b - 1]
-            ds = d_path * (blk["s"] > 0.0)
+            ds = d_path * (blk["out"] > 0.0)
             dr1, dw2, db2 = conv2d_backward(
                 ds, blk["r1"], t[f"path{p}.block{b}.conv2.w"]
             )
             grads[f"path{p}.block{b}.conv2.w"] = dw2
             grads[f"path{p}.block{b}.conv2.b"] = db2
-            dh1 = dr1 * (blk["h1"] > 0.0)
+            dh1 = dr1 * (blk["r1"] > 0.0)
             dx_in, dw1, db1 = conv2d_backward(
                 dh1, blk["x_in"], t[f"path{p}.block{b}.conv1.w"]
             )
@@ -364,7 +382,7 @@ def backward(weights: ModelWeights, img: np.ndarray,
         for idx, shape in reversed(cache["pools"]):
             d_path = maxpool2_backward(d_path, idx, shape)
 
-        d_pre = d_path * (cache["in_pre"] > 0.0)
+        d_pre = d_path * (cache["in"] > 0.0)
         _, dwi, dbi = conv2d_backward(d_pre, caches["x0"], t[f"path{p}.in.w"])
         grads[f"path{p}.in.w"] = dwi
         grads[f"path{p}.in.b"] = dbi

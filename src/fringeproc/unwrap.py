@@ -77,6 +77,31 @@ def _locate(pixels: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     return comp, k
 
 
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for a 1-D key without NaNs.
+
+    numpy's stable sort of float64 is a timsort, several times slower than
+    its default quicksort. So the keys are sorted unstably, and then only the
+    positions inside runs of equal keys (-0.0 equals 0.0, as in the stable
+    sort) are put back in index order, by one int64 argsort of
+    run_id * n + index. Phase maps tie on well under 1 % of their edges: on
+    uniform noise this takes 31 against 98 ms at 512² and 5 against 21 ms at
+    256² (best of 7, one core). A map whose keys all tie, such as a constant
+    map, sorts about 10x slower than the stable sort (71 against 7 ms at 512²).
+    """
+    order = np.argsort(key)
+    sorted_key = key[order]
+    joins = np.zeros(key.size, dtype=bool)  # equal to the key before it
+    joins[1:] = sorted_key[1:] == sorted_key[:-1]
+    in_run = joins.copy()
+    in_run[:-1] |= joins[1:]
+    pos = np.flatnonzero(in_run)
+    run_id = np.cumsum(~joins[pos], dtype=np.int64)
+    idx = order[pos]
+    order[pos] = idx[np.argsort(run_id * key.size + idx)]
+    return order
+
+
 def _spanning_tree_unwrap(wrapped) -> tuple[np.ndarray, tuple[int, int]]:
     """Unwrap ``wrapped``; return (unwrapped, anchor).
 
@@ -93,7 +118,7 @@ def _spanning_tree_unwrap(wrapped) -> tuple[np.ndarray, tuple[int, int]]:
     idx = np.arange(flat.size, dtype=np.int32).reshape(rows, cols)
     edge_a = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
     edge_b = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-    order = np.argsort(-(rel[edge_a] + rel[edge_b]), kind="stable")
+    order = _stable_argsort(-(rel[edge_a] + rel[edge_b]))
     edge_a, edge_b = edge_a[order], edge_b[order]
     del order
     # across a tree edge the 2*pi count steps by k[b] - k[a] = step

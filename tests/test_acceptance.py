@@ -24,7 +24,7 @@ from fringeproc.maps import (
 from fringeproc.metrics import orientation_error, rmse_phase
 from fringeproc.network import (
     NetworkConfig,
-    _forward_with_caches,
+    _forward,
     backward,
     build_network,
     forward,
@@ -139,15 +139,15 @@ def test_criterion_05_backprop_correctness():
     grads, _, _ = backward(weights, img, target)
 
     def signature():
-        _, caches = _forward_with_caches(weights, img)
+        _, caches = _forward(weights, img, record=True)
         parts = []
         for cache in caches["paths"]:
-            parts.append((cache["in_pre"] > 0).tobytes())
+            parts.append((cache["in"] > 0).tobytes())
             for idx, _ in cache["pools"]:
                 parts.append(idx.tobytes())
             for blk in cache["blocks"]:
-                parts.append((blk["h1"] > 0).tobytes())
-                parts.append((blk["s"] > 0).tobytes())
+                parts.append((blk["r1"] > 0).tobytes())
+                parts.append((blk["out"] > 0).tobytes())
         return b"".join(parts)
 
     h = 1e-3

@@ -56,6 +56,17 @@ class TestExitCodes:
         assert run("evaluate", "--pred", img, "--ref", img,
                    "--exclude-border", "8") == 4
 
+    def test_non_square_peaks_is_usage_error(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fringeproc.cli", "simulate", "--mode", "object",
+             "--object", "peaks", "--rows", "64", "--cols", "96",
+             "--out", str(tmp_path / "obj.fpai")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "square" in proc.stderr
+        assert not (tmp_path / "obj.fpai").exists()
+
     def test_success_is_zero(self, tmp_path):
         img = tmp_path / "img.fpai"
         write_container(img, np.linspace(0, 3, 256).reshape(16, 16))

@@ -16,7 +16,7 @@ from fringeproc.errors import (
 from fringeproc.maps import OrientationEncoding
 from fringeproc.network import (
     NetworkConfig,
-    _forward_with_caches,
+    _forward,
     backward,
     build_network,
     conv2d_backward,
@@ -32,6 +32,7 @@ from fringeproc.network import (
 from fringeproc.training import loss_mse
 
 TINY = NetworkConfig(paths=2, filters=2, blocks_per_path=1)
+DESK = NetworkConfig(paths=2, filters=16, blocks_per_path=2)  # perfbench's model
 
 
 def random_input(shape, seed=0):
@@ -47,15 +48,15 @@ def random_target(shape, seed=1):
 def activation_signature(weights, img):
     """ReLU gates and pooling routes; FD checks are valid only where these
     stay fixed across the +/-h probes."""
-    _, caches = _forward_with_caches(weights, img)
+    _, caches = _forward(weights, img, record=True)
     parts = []
     for cache in caches["paths"]:
-        parts.append((cache["in_pre"] > 0).tobytes())
+        parts.append((cache["in"] > 0).tobytes())
         for idx, _ in cache["pools"]:
             parts.append(idx.tobytes())
         for blk in cache["blocks"]:
-            parts.append((blk["h1"] > 0).tobytes())
-            parts.append((blk["s"] > 0).tobytes())
+            parts.append((blk["r1"] > 0).tobytes())
+            parts.append((blk["out"] > 0).tobytes())
     return b"".join(parts)
 
 
@@ -230,6 +231,31 @@ class TestForward:
             forward(build_network(TINY, 0), random_input((9, 9)))
 
 
+    @pytest.fixture(scope="class")
+    def traced_desk_forward(self):
+        """forward of the desk-sized net at 256² under tracemalloc:
+        (output, bytes still held after it returned, peak bytes)."""
+        w = build_network(DESK, 0)
+        img = random_input((256, 256))
+        tracemalloc.start()
+        try:
+            out = forward(w, img)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, current, peak
+
+    def test_peak_below_eight_activations(self, traced_desk_forward):
+        # keeping every activation for a backward pass peaked near 19 of them
+        _, _, peak = traced_desk_forward
+        activation = 16 * 256 * 256 * 8
+        assert peak < 8 * activation
+
+    def test_nothing_retained(self, traced_desk_forward):
+        out, current, _ = traced_desk_forward
+        assert current <= out.sin2.base.nbytes + 64 * 1024
+
+
 class TestMaxpool:
     def test_tie_routes_to_first_argmax(self):
         x = np.full((1, 2, 2), 3.0)  # a fully tied tile
@@ -313,6 +339,14 @@ class TestBackward:
             np.sum(2.0 * (pred.cos2 - target.cos2) / n),
         ]
         assert np.allclose(grads["final.b"], expected, atol=1e-12)
+
+    def test_prediction_is_forward_output(self):
+        w = build_network(NetworkConfig(paths=3, filters=4, blocks_per_path=2), 5)
+        img = random_input((32, 32), seed=6)
+        _, _, pred = backward(w, img, random_target((32, 32)))
+        want = forward(w, img)
+        assert pred.sin2.tobytes() == want.sin2.tobytes()
+        assert pred.cos2.tobytes() == want.cos2.tobytes()
 
     def test_target_shape_mismatch(self):
         w = build_network(TINY, 0)

@@ -16,7 +16,12 @@ from fringeproc.simulate import (
     ground_truth_orientation,
     peaks_surface,
 )
-from fringeproc.unwrap import orientation_to_direction, reliability_map, unwrap_phase_2d
+from fringeproc.unwrap import (
+    _stable_argsort,
+    orientation_to_direction,
+    reliability_map,
+    unwrap_phase_2d,
+)
 
 TAU = 2 * np.pi
 
@@ -153,6 +158,32 @@ class TestAgainstMergeLoop:
         wrapped = golden_maps()["uniform-noise-256"]
         counts = np.round((unwrap_phase_2d(wrapped) - wrapped) / TAU)
         assert np.ptp(counts) > 10
+
+
+def edge_keys(wrapped):
+    """The unwrapper's sort keys: -(rel[a] + rel[b]) over the right, then the
+    down edges. Border pixels have reliability 0, so their edges key -0.0."""
+    rows, cols = wrapped.shape
+    rel = reliability_map(wrapped).ravel()
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    edge_a = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    edge_b = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return -(rel[edge_a] + rel[edge_b])
+
+
+class TestStableArgsort:
+    @pytest.mark.parametrize("name", ["uniform-noise-256", "tied", "constant"])
+    def test_edge_keys_match_stable_argsort(self, name):
+        key = edge_keys(golden_maps()[name])
+        assert np.any((key == 0.0) & np.signbit(key))  # -0.0 border edges
+        np.testing.assert_array_equal(_stable_argsort(key),
+                                      np.argsort(key, kind="stable"))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 50, 1000])
+    def test_signed_zeros_tie(self, size):
+        key = np.random.default_rng(size).choice([-0.0, 0.0, -1.5, 2.0], size=size)
+        np.testing.assert_array_equal(_stable_argsort(key),
+                                      np.argsort(key, kind="stable"))
 
 
 class TestInputValidation:
