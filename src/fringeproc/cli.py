@@ -3,8 +3,12 @@ evaluate, benchmark, pipeline.
 
 Exit codes are a stable scripting contract: 0 success, 2 usage, 3 I/O or file
 format, 4 numerical-stage failure. Every command accepts --seed and
---json-report and records a JSON manifest next to its primary output, with
-enough seeds/configuration to reproduce the outputs byte-identically.
+--json-report. Each command that writes files ends in ``_record``, which writes
+a JSON manifest next to its primary output with the fields ``tool``,
+``version``, ``command`` and ``args`` (every parsed option) plus the command's
+own results: enough to reproduce the outputs byte-identically. --json-report
+writes the same JSON to a file or, with '-', to stdout. Every file goes through
+``container.write_atomic`` (temp file + rename), so none is left truncated.
 FRINGEPROC_THREADS caps benchmark parallelism (default 1).
 """
 
@@ -23,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import read_container, read_sidecar, write_container
+from .container import (read_container, read_orientation, read_sidecar, write_atomic,
+                         write_container, write_json)
 from .errors import FormatError, NumericalError
 from .hst import demodulate
 from .maps import OrientationEncoding, OrientationMap
@@ -65,33 +70,23 @@ class UsageError(Exception):
     """Arguments that parse but do not fit together (exit 2, as argparse)."""
 
 
-def _write_json(path, payload: dict) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+def _emit_report(target, payload: dict) -> None:
+    """Print the report JSON for '-', write it to any other non-empty target."""
+    if target == "-":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif target:
+        write_json(target, payload)
 
 
-def _emit_report(args, payload: dict) -> None:
-    if getattr(args, "json_report", None):
-        if args.json_report == "-":
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-        else:
-            _write_json(args.json_report, payload)
-
-
-def _manifest_for(args, command: str, extra: dict) -> dict:
-    recorded = {
-        k: v for k, v in vars(args).items() if k not in ("func", "json_report")
-    }
-    for k, v in recorded.items():
-        if isinstance(v, Path):
-            recorded[k] = str(v)
-    return {"tool": "fringeproc", "version": __version__, "command": command,
-            "args": recorded, **extra}
+def _record(args, manifest_path, message: str, **fields) -> int:
+    """The tail of every file-writing command: manifest, report, progress line."""
+    recorded = {k: v for k, v in vars(args).items() if k not in ("func", "json_report")}
+    payload = {"tool": "fringeproc", "version": __version__, "command": args.command,
+               "args": recorded, **fields}
+    write_json(manifest_path, payload)
+    _emit_report(args.json_report, payload)
+    print(message)
+    return 0
 
 
 def _file_sha256(path) -> str:
@@ -100,13 +95,6 @@ def _file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _read_orientation(path) -> OrientationMap:
-    arr = read_container(path)
-    if arr.ndim != 2:
-        raise FormatError(f"{path}: expected a single-channel orientation map")
-    return OrientationMap(angles=arr, valid=np.ones_like(arr, dtype=bool))
 
 
 def _float_list(text: str) -> list[float]:
@@ -131,11 +119,8 @@ def cmd_simulate(args) -> int:
             noise_std=args.noise_std,
         )
         path = make_dataset(manifest, out)
-        payload = _manifest_for(args, "simulate", {"manifest": str(path)})
-        _write_json(out / "run_manifest.json", payload)
-        _emit_report(args, payload)
-        print(f"wrote {manifest.count} items to {out}")
-        return 0
+        return _record(args, out / "run_manifest.json",
+                       f"wrote {manifest.count} items to {out}", manifest=str(path))
 
     # single object with full ground truth, for pipeline-style runs
     shape = (args.rows, args.cols)
@@ -171,12 +156,8 @@ def cmd_simulate(args) -> int:
                     meta={"kind": "orientation", "seed": args.seed, "params": params})
     write_container(out.with_name(gt_paths["direction"]), beta,
                     meta={"kind": "direction", "seed": args.seed, "params": params})
-    payload = _manifest_for(args, "simulate", {"outputs": [str(out)] + [
-        str(out.with_name(p)) for p in gt_paths.values()]})
-    _write_json(str(out) + ".manifest.json", payload)
-    _emit_report(args, payload)
-    print(f"wrote {out} (+ ground truth)")
-    return 0
+    return _record(args, str(out) + ".manifest.json", f"wrote {out} (+ ground truth)",
+                   outputs=[str(out)] + [str(out.with_name(p)) for p in gt_paths.values()])
 
 
 # --------------------------------------------------------------------------
@@ -200,23 +181,14 @@ def cmd_train(args) -> int:
     result = train(trn, val, net_cfg, train_cfg)
     save_weights(result.weights, args.out)
     history_path = str(args.out) + ".history.json"
-    _write_json(history_path, {"history": result.history,
-                               "best_epoch": result.best_epoch})
-    payload = _manifest_for(args, "train", {
-        "model": str(args.out),
-        "model_sha256": _file_sha256(args.out),
-        "history": history_path,
-        "train_items": len(trn),
-        "val_items": len(val),
-        "best_epoch": result.best_epoch,
-        "final_val_loss": result.history[-1]["val_loss"],
-        "final_val_oe": result.history[-1]["val_oe"],
-    })
-    _write_json(str(args.out) + ".manifest.json", payload)
-    _emit_report(args, payload)
-    print(f"trained {args.epochs} epochs; best epoch {result.best_epoch}; "
-          f"model -> {args.out}")
-    return 0
+    write_json(history_path, {"history": result.history, "best_epoch": result.best_epoch})
+    return _record(
+        args, str(args.out) + ".manifest.json",
+        f"trained {args.epochs} epochs; best epoch {result.best_epoch}; model -> {args.out}",
+        model=str(args.out), model_sha256=_file_sha256(args.out), history=history_path,
+        train_items=len(trn), val_items=len(val), best_epoch=result.best_epoch,
+        final_val_loss=result.history[-1]["val_loss"],
+        final_val_oe=result.history[-1]["val_oe"])
 
 
 def cmd_infer(args) -> int:
@@ -231,15 +203,9 @@ def cmd_infer(args) -> int:
         "kind": "orientation", "seed": args.seed,
         "params": {"model": str(args.model), "prefilter": args.prefilter},
     })
-    payload = _manifest_for(args, "infer", {
-        "model_sha256": _file_sha256(args.model),
-        "valid_fraction": float(fo.valid.mean()),
-        "output": str(args.out),
-    })
-    _write_json(str(args.out) + ".manifest.json", payload)
-    _emit_report(args, payload)
-    print(f"wrote {args.out}")
-    return 0
+    return _record(args, str(args.out) + ".manifest.json", f"wrote {args.out}",
+                   model_sha256=_file_sha256(args.model),
+                   valid_fraction=float(fo.valid.mean()), output=str(args.out))
 
 
 # --------------------------------------------------------------------------
@@ -267,28 +233,21 @@ def cmd_orient_classic(args) -> int:
         "params": {"method": args.method, "window": args.window,
                    "exclude_border": args.exclude_border},
     })
-    payload = _manifest_for(args, "orient-classic", {
-        "valid_fraction": float(fo.valid.mean()), "output": str(args.out)})
-    _write_json(str(args.out) + ".manifest.json", payload)
-    _emit_report(args, payload)
-    print(f"wrote {args.out}")
-    return 0
+    return _record(args, str(args.out) + ".manifest.json", f"wrote {args.out}",
+                   valid_fraction=float(fo.valid.mean()), output=str(args.out))
 
 
 def cmd_unwrap(args) -> int:
-    fo = _read_orientation(args.input)
+    fo = read_orientation(args.input)
     direction, anchor = orientation_to_direction(fo)
     write_container(args.out, direction, meta={
         "kind": "direction", "seed": args.seed,
         "params": {"source": str(args.input)},
     })
-    payload = _manifest_for(args, "unwrap-orientation", {
-        "branch_anchor": anchor, "output": str(args.out)})
-    _write_json(str(args.out) + ".manifest.json", payload)
-    _emit_report(args, payload)
-    print(f"wrote {args.out} (branch anchor at "
-          f"({anchor['row']}, {anchor['col']}) = {anchor['direction']:.4f} rad)")
-    return 0
+    return _record(args, str(args.out) + ".manifest.json",
+                   f"wrote {args.out} (branch anchor at "
+                   f"({anchor['row']}, {anchor['col']}) = {anchor['direction']:.4f} rad)",
+                   branch_anchor=anchor, output=str(args.out))
 
 
 def cmd_demodulate(args) -> int:
@@ -300,24 +259,19 @@ def cmd_demodulate(args) -> int:
                        "exclude_border": args.exclude_border}}
     write_container(args.out_wrapped, wrapped, meta=meta)
     write_container(args.out_phase, unwrapped, meta=meta)
-    payload = _manifest_for(args, "demodulate", {
-        "warnings": info["warnings"],
-        "defined_fraction": info["defined_fraction"],
-        "outputs": [str(args.out_wrapped), str(args.out_phase)],
-    })
-    _write_json(str(args.out_phase) + ".manifest.json", payload)
-    _emit_report(args, payload)
     for w in info["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"wrote {args.out_wrapped}, {args.out_phase}")
-    return 0
+    return _record(args, str(args.out_phase) + ".manifest.json",
+                   f"wrote {args.out_wrapped}, {args.out_phase}",
+                   warnings=info["warnings"], defined_fraction=info["defined_fraction"],
+                   outputs=[str(args.out_wrapped), str(args.out_phase)])
 
 
 def cmd_evaluate(args) -> int:
     border = args.exclude_border
     if args.metric == "oe":
-        pred = _read_orientation(args.pred)
-        ref = _read_orientation(args.ref)
+        pred = read_orientation(args.pred)
+        ref = read_orientation(args.ref)
         report = EvalReport(
             method=str(args.pred),
             orientation_error=orientation_error(pred, ref, border),
@@ -338,14 +292,11 @@ def cmd_evaluate(args) -> int:
                             rmse_phase=rmse_phase(pred, ref, border),
                             excluded_border=border)
     payload = report.to_json()
-    if args.json or args.json_report == "-":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        shown = {k: v for k, v in payload.items() if v is not None}
-        print(", ".join(f"{k}={v}" for k, v in shown.items()))
-    if args.json_report and args.json_report != "-":
-        _write_json(args.json_report, payload)
+    if not (args.json or args.json_report == "-"):
+        print(", ".join(f"{k}={v}" for k, v in payload.items() if v is not None))
+    elif args.json_report != "-":  # --json; a '-' report is printed once, below
+        _emit_report("-", payload)
+    _emit_report(args.json_report, payload)
     return 0
 
 
@@ -425,19 +376,12 @@ def cmd_benchmark(args) -> int:
     for rows in all_rows:
         for row in rows:
             writer.writerow(row)
-    tmp = out.with_name(out.name + ".tmp")
-    tmp.write_text(buf.getvalue(), encoding="utf-8")
-    os.replace(tmp, out)
+    write_atomic(out, buf.getvalue().encode())
 
-    extra = {"cases": len(cases), "rows": sum(len(r) for r in all_rows),
-             "output": str(out)}
-    if args.model:
-        extra["model_sha256"] = _file_sha256(args.model)
-    payload = _manifest_for(args, "benchmark", extra)
-    _write_json(str(out) + ".manifest.json", payload)
-    _emit_report(args, payload)
-    print(f"wrote {extra['rows']} rows to {out}")
-    return 0
+    n_rows = sum(len(r) for r in all_rows)
+    extra = {"model_sha256": _file_sha256(args.model)} if args.model else {}
+    return _record(args, str(out) + ".manifest.json", f"wrote {n_rows} rows to {out}",
+                   cases=len(cases), rows=n_rows, output=str(out), **extra)
 
 
 # --------------------------------------------------------------------------
@@ -464,11 +408,13 @@ def cmd_pipeline(args) -> int:
     direction, anchor = stage("unwrap-direction", lambda: orientation_to_direction(fo))
     wrapped, unwrapped, info = stage("demodulate", lambda: demodulate(pre, direction))
 
-    write_container(out_dir / "prefiltered.fpai", pre, meta={"kind": "fringe"})
-    write_container(out_dir / "fo.fpai", fo.angles, meta={"kind": "orientation"})
-    write_container(out_dir / "direction.fpai", direction, meta={"kind": "direction"})
-    write_container(out_dir / "wrapped.fpai", wrapped, meta={"kind": "phase"})
-    write_container(out_dir / "phase.fpai", unwrapped, meta={"kind": "phase"})
+    outputs = [(out_dir / "prefiltered.fpai", pre, "fringe"),
+               (out_dir / "fo.fpai", fo.angles, "orientation"),
+               (out_dir / "direction.fpai", direction, "direction"),
+               (out_dir / "wrapped.fpai", wrapped, "phase"),
+               (out_dir / "phase.fpai", unwrapped, "phase")]
+    for path, data, kind in outputs:
+        write_container(path, data, meta={"kind": kind})
 
     report = None
     sign_flipped = None
@@ -477,7 +423,7 @@ def cmd_pipeline(args) -> int:
         base = Path(args.fringe).parent
 
         def evaluate():
-            fo_ref = _read_orientation(base / gt["fo"])
+            fo_ref = read_orientation(base / gt["fo"])
             phase_ref = read_container(base / gt["phase"])
             # the direction branch is inherently ambiguous; a flipped branch
             # negates the demodulated phase, so score the better global sign
@@ -493,24 +439,16 @@ def cmd_pipeline(args) -> int:
 
         sign_flipped, report = stage("evaluate", evaluate)
 
-    payload = _manifest_for(args, "pipeline", {
-        "model_sha256": _file_sha256(args.model),
-        "branch_anchor": anchor,
-        "phase_sign_flipped_vs_truth": sign_flipped,
-        "demodulation": info,
-        "report": report.to_json() if report else None,
-        "outputs": [str(out_dir / n) for n in
-                    ("prefiltered.fpai", "fo.fpai", "direction.fpai",
-                     "wrapped.fpai", "phase.fpai")],
-    })
-    _write_json(out_dir / "run_manifest.json", payload)
-    _emit_report(args, payload)
+    message = f"pipeline outputs in {out_dir}"
     if report:
-        print(f"OE={report.orientation_error:.4f} "
-              f"rmse_phase={report.rmse_phase:.4f} rad "
-              f"(border {report.excluded_border})")
-    print(f"pipeline outputs in {out_dir}")
-    return 0
+        message = (f"OE={report.orientation_error:.4f} "
+                   f"rmse_phase={report.rmse_phase:.4f} rad "
+                   f"(border {report.excluded_border})\n" + message)
+    return _record(args, out_dir / "run_manifest.json", message,
+                   model_sha256=_file_sha256(args.model), branch_anchor=anchor,
+                   phase_sign_flipped_vs_truth=sign_flipped, demodulation=info,
+                   report=report.to_json() if report else None,
+                   outputs=[str(path) for path, _, _ in outputs])
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Layout (little-endian): magic ``46 50 41 49`` ("FPAI"), u32 version=1, u32 rows,
 u32 cols, u32 channels, u32 reserved=0, then channels*rows*cols float32 samples,
 channel-major then row-major. A sidecar JSON manifest with the same basename and
 a ``.json`` suffix records the map kind, seed and generation parameters.
+
+``write_atomic`` is the package's one file writer: every container, sidecar,
+weights file, run manifest and dataset manifest goes through a sibling temp
+file and a rename, so an interrupted run never leaves a truncated file behind.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    FormatError,
     NonFiniteSampleError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
+from .maps import OrientationMap
 
 MAGIC = b"FPAI"
 VERSION = 1
@@ -33,12 +39,27 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
 
-def write_container(path, stack, meta: dict | None = None) -> None:
-    """Write a single image or a (channels, rows, cols) stack; optional sidecar.
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write the chunks, in order, to ``<path>.tmp``, then rename it over path."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
-    Writes are atomic (temp file + rename) so interrupted runs never leave a
-    truncated container behind.
-    """
+
+def write_json(path, payload: dict) -> None:
+    """Atomic JSON: indent 2, sorted keys, trailing newline."""
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+
+
+def write_container(path, stack, meta: dict | None = None) -> None:
+    """Write a single image or a (channels, rows, cols) stack; optional sidecar."""
     arr = np.asarray(stack, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[np.newaxis]
@@ -47,16 +68,8 @@ def write_container(path, stack, meta: dict | None = None) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteSampleError(f"{path}: refusing to store non-finite samples")
     channels, rows, cols = arr.shape
-    payload = arr.astype("<f4").tobytes()
-    header = HEADER.pack(MAGIC, VERSION, rows, cols, channels, 0)
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
-
+    write_atomic(path, HEADER.pack(MAGIC, VERSION, rows, cols, channels, 0),
+                 arr.astype("<f4").tobytes())
     if meta is not None:
         write_sidecar(path, meta)
 
@@ -65,11 +78,7 @@ def write_sidecar(path, meta: dict) -> None:
     kind = meta.get("kind")
     if kind is not None and kind not in SIDECAR_KINDS:
         raise ValueError(f"unknown sidecar kind {kind!r}")
-    tmp = sidecar_path(path).with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, sidecar_path(path))
+    write_json(sidecar_path(path), meta)
 
 
 def read_sidecar(path) -> dict | None:
@@ -106,3 +115,11 @@ def read_container(path) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteSampleError(f"{path}: container holds non-finite samples")
     return arr[0] if channels == 1 else arr
+
+
+def read_orientation(path) -> OrientationMap:
+    """Read a single-channel orientation file; every pixel is valid (FPAI has no mask)."""
+    angles = read_container(path)
+    if angles.ndim != 2:
+        raise FormatError(f"{path}: expected a single-channel orientation map")
+    return OrientationMap(angles=angles, valid=np.ones_like(angles, dtype=bool))

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import write_atomic
 from .errors import (
     BadMagicError,
     HeaderError,
@@ -162,35 +162,49 @@ def build_network(cfg: NetworkConfig, init_seed: int) -> ModelWeights:
 # Bytes of float64 in one block of shifted rows (~1 MB): large enough for
 # BLAS to run at speed, small enough to stay in cache while it is filled.
 _BLOCK_BYTES = 1 << 20
+# Bytes of float64 in the zero-padded window of input rows the blocks are cut
+# from (~4 MB): a 512 px image is padded a window at a time, never whole.
+_WINDOW_BYTES = 1 << 22
 
 
 def _shifted_row_blocks(x: np.ndarray, k: int):
     """Yield (r0, rows, block) covering the output rows of a same-padded conv.
 
-    x is zero-padded once and each channel flattened with row stride
-    Wp = W + 2p (plus one spare row), so the input under kernel tap (i, j) for
-    output rows r0..r0+rows-1 is the contiguous slice xf[:, off:off + rows*Wp]
-    with off = (r0 + i)*Wp + j. ``block`` stacks those k^2 slices tap-major,
+    x is zero-padded a window of output rows at a time, each channel flattened
+    with row stride Wp = W + 2p (plus one spare row), so the input under kernel
+    tap (i, j) for output rows r0..r0+rows-1 is the contiguous slice
+    xf[:, off:off + rows*Wp] with off = (r0 - s0 + i)*Wp + j, s0 being the
+    window's first output row. ``block`` stacks those k^2 slices tap-major,
     channel-minor into a (k^2*Cin, rows*Wp) matrix; the last 2p columns of each
-    row are junk. The block's buffer is reused, so consume it before the next.
+    row are junk. The buffers are reused, so consume a block before the next.
     """
     c, h, w = x.shape
     p = k // 2
     wp = w + 2 * p
-    xf = np.zeros((c, (h + 2 * p + 1) * wp))
-    xf.reshape(c, -1, wp)[:, p : p + h, p : p + w] = x
     depth = k * k * c
     rows = max(1, min(h, _BLOCK_BYTES // (8 * depth * wp)))
+    # output rows per window: whole blocks, at most the image
+    span = min(h, rows * max(1, _WINDOW_BYTES // (8 * c * rows * wp)))
+    window = np.zeros((c, span + 2 * p + 1, wp))
+    xf = window.reshape(c, -1)
     buf = np.empty(depth * rows * wp)
-    for r0 in range(0, h, rows):
-        n = min(rows, h - r0) * wp
-        block = buf[: depth * n].reshape(depth, n)
-        for i in range(k):
-            for j in range(k):
-                off = (r0 + i) * wp + j
-                tap = (i * k + j) * c
-                block[tap : tap + c] = xf[:, off : off + n]
-        yield r0, n // wp, block
+    for s0 in range(0, h, span):
+        s1 = min(h, s0 + span)
+        # padded row q of the window holds image row s0 + q - p
+        lo, hi = max(0, s0 - p), min(h, s1 + p + 1)
+        window[:, lo + p - s0 : hi + p - s0, p : p + w] = x[:, lo:hi]
+        # rows below the image must be zero, but the window was reused; the
+        # rows above it, and the side columns, were never written
+        window[:, hi + p - s0 :] = 0.0
+        for r0 in range(s0, s1, rows):
+            n = min(rows, s1 - r0) * wp
+            block = buf[: depth * n].reshape(depth, n)
+            for i in range(k):
+                for j in range(k):
+                    off = (r0 - s0 + i) * wp + j
+                    tap = (i * k + j) * c
+                    block[tap : tap + c] = xf[:, off : off + n]
+            yield r0, n // wp, block
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -248,10 +262,6 @@ def maxpool2_backward(d_out: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarra
         .transpose(0, 1, 3, 2, 4)
         .reshape(c, h, w)
     )
-
-
-def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
-    return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
 
 
 def upsample_nearest_backward(d_out: np.ndarray, factor: int) -> np.ndarray:
@@ -313,8 +323,9 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
 
         if concat is None:
             concat = np.empty((cfg.paths * f,) + x0.shape[1:])
-        factor = 2 ** (p - 1)
-        concat[(p - 1) * f : p * f] = h if factor == 1 else upsample_nearest(h, factor)
+        # nearest-neighbour upsampling, broadcast straight into the path's slice
+        up = concat[(p - 1) * f : p * f].reshape(f, h.shape[1], 2 ** (p - 1), h.shape[2], -1)
+        up[...] = h[:, :, np.newaxis, :, np.newaxis]
         del h
 
     out = conv2d_same(concat, t["final.w"], t["final.b"])
@@ -410,14 +421,9 @@ def save_weights(weights: ModelWeights, path) -> None:
         {"config": weights.config.to_json(), "tensors": table},
         sort_keys=True,
     ).encode("utf-8")
-    path = str(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_WHEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION, len(header_json)))
-        fh.write(header_json)
-        for name, _ in tensor_specs(weights.config):
-            fh.write(weights.tensors[name].astype("<f4").tobytes())
-    os.replace(tmp, path)
+    tensors = [weights.tensors[entry["name"]].astype("<f4").tobytes() for entry in table]
+    write_atomic(path, _WHEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION, len(header_json)),
+                 header_json, *tensors)
 
 
 def _parse_header(blob: bytes, path) -> tuple[NetworkConfig, list[tuple]]:

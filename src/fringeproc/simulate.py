@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import write_container
+from .container import write_atomic, write_container
 from .image import as_real_image, gaussian_blur, gradients
 from .maps import OrientationMap, encode_orientation, orientation_from_gradients
 
@@ -330,9 +330,7 @@ def make_dataset(manifest: DatasetManifest, out_dir) -> Path:
         write_container(out_dir / item["fo"], fo.angles,
                         meta={"kind": "orientation", **common})
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_atomic(manifest_path, (json.dumps(manifest.to_json(), indent=2) + "\n").encode())
     return manifest_path
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container
+from .container import read_container, read_orientation
 from .maps import OrientationEncoding, OrientationMap, decode_orientation
 from .metrics import orientation_error
 from .network import (  # noqa: F401  infer_orientation: perfbench/spans.py traces it here
@@ -33,9 +33,6 @@ class TrainConfig:
     lr_drop_period_epochs: int = 5
     epochs: int = 30
     batch_size: int = 1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     shuffle_seed: int = 0
 
     def __post_init__(self):
@@ -118,8 +115,7 @@ def load_samples(dataset_dir) -> list[Sample]:
     for item in manifest.items:
         fringe = read_container(dataset_dir / item["fringe"])
         enc = OrientationEncoding.from_array(read_container(dataset_dir / item["encoding"]))
-        angles = read_container(dataset_dir / item["fo"])
-        fo = OrientationMap(angles=angles, valid=np.ones_like(angles, dtype=bool))
+        fo = read_orientation(dataset_dir / item["fo"])
         samples.append(Sample(fringe=fringe, encoding=enc, fo=fo))
     return samples
 
@@ -194,8 +190,7 @@ def train(
             if len(chunk) > 1:
                 for name in grads_sum:
                     grads_sum[name] /= len(chunk)
-            adam_step(weights, grads_sum, state, lr,
-                      train_cfg.adam_beta1, train_cfg.adam_beta2, train_cfg.adam_eps)
+            adam_step(weights, grads_sum, state, lr)
         val_loss, val_oe = evaluate_model(weights, val_set)
         history.append(
             {

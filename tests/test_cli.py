@@ -10,6 +10,7 @@ import pytest
 from fringeproc.cli import main
 from fringeproc.container import read_container, write_container
 from fringeproc.network import NetworkConfig, build_network, load_weights, save_weights
+from fringeproc.simulate import DatasetManifest, make_dataset
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -239,6 +240,21 @@ class TestBenchmark:
         assert len(lines) - 1 == 2 * 1 * 2 * 2  # |a| * |noise| * |methods| * reps
         assert c1.read_bytes() == c2.read_bytes()
 
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+        args = ["benchmark", "--a-values", "0,2", "--noise-std", "0,0.1",
+                "--methods", "gradient,cpfg", "--reps", "2", "--size", "32",
+                "--seed", "11", "--exclude-border", "4"]
+        assert run(*args, "--emit-error-maps", tmp_path / "m1",
+                   "--out", tmp_path / "serial.csv") == 0
+        monkeypatch.setenv("FRINGEPROC_THREADS", "2")
+        assert run(*args, "--emit-error-maps", tmp_path / "m2",
+                   "--out", tmp_path / "pool.csv") == 0
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+        maps = sorted(p.name for p in (tmp_path / "m1").iterdir())
+        assert maps == sorted(p.name for p in (tmp_path / "m2").iterdir())
+        for name in maps:
+            assert (tmp_path / "m1" / name).read_bytes() == (tmp_path / "m2" / name).read_bytes()
+
     def test_deeporient_requires_model(self, tmp_path):
         assert run("benchmark", "--a-values", "0", "--methods", "deeporient",
                    "--out", tmp_path / "x.csv") == 4
@@ -272,3 +288,59 @@ class TestBenchmark:
         emitted = list(maps_dir.glob("*.fpai"))
         assert len(emitted) == 1
         assert read_container(emitted[0]).min() >= 0
+
+
+def _dataset(tmp_path):
+    make_dataset(DatasetManifest(base_seed=4, count=4, rows=16, cols=16), tmp_path / "ds")
+    return tmp_path / "ds"
+
+
+# each file-writing command: (argv, manifest path) for a tmp dir, fringe object, model
+RECORDED = {
+    "simulate-dataset": lambda t, obj, model: (
+        ["simulate", "--out", t / "sim", "--count", "2", "--rows", "16", "--cols", "16"],
+        t / "sim" / "run_manifest.json"),
+    "simulate-object": lambda t, obj, model: (
+        ["simulate", "--mode", "object", "--out", t / "o.fpai", "--rows", "16",
+         "--cols", "16"], t / "o.fpai.manifest.json"),
+    "train": lambda t, obj, model: (
+        ["train", "--dataset", _dataset(t), "--epochs", "1", "--filters", "2",
+         "--blocks", "1", "--out", t / "m.fpaw"], t / "m.fpaw.manifest.json"),
+    "infer": lambda t, obj, model: (
+        ["infer", "--model", model, "--input", obj, "--out", t / "fo.fpai"],
+        t / "fo.fpai.manifest.json"),
+    "orient-classic": lambda t, obj, model: (
+        ["orient-classic", "--input", obj, "--out", t / "fo.fpai"],
+        t / "fo.fpai.manifest.json"),
+    "unwrap-orientation": lambda t, obj, model: (
+        ["unwrap-orientation", "--input", t / "obj_fo.fpai", "--out", t / "dir.fpai"],
+        t / "dir.fpai.manifest.json"),
+    "demodulate": lambda t, obj, model: (
+        ["demodulate", "--fringe", obj, "--direction", t / "obj_direction.fpai",
+         "--out-wrapped", t / "w.fpai", "--out-phase", t / "p.fpai"],
+        t / "p.fpai.manifest.json"),
+    "benchmark": lambda t, obj, model: (
+        ["benchmark", "--a-values", "1", "--noise-std", "0", "--methods", "cpfg",
+         "--reps", "1", "--size", "32", "--out", t / "r.csv"], t / "r.csv.manifest.json"),
+    "pipeline": lambda t, obj, model: (
+        ["pipeline", "--fringe", obj, "--model", model, "--out-dir", t / "run",
+         "--exclude-border", "8"],
+        t / "run" / "run_manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED)
+def test_every_command_records_one_manifest(case, tmp_path, peaks_object, tiny_model,
+                                            capsys):
+    argv, manifest_path = RECORDED[case](tmp_path, peaks_object, tiny_model)
+    capsys.readouterr()
+    assert run(*argv, "--seed", "3", "--json-report", "-") == 0
+    text = manifest_path.read_text()
+    manifest = json.loads(text)
+    assert manifest["tool"] == "fringeproc"
+    assert manifest["version"]
+    assert manifest["command"] == argv[0]
+    assert manifest["args"]["seed"] == 3 and "json_report" not in manifest["args"]
+    # the report on stdout is the manifest, byte for byte, before the progress line
+    assert capsys.readouterr().out.startswith(text)
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -3,9 +3,19 @@ import struct
 import numpy as np
 import pytest
 
-from fringeproc.container import HEADER, MAGIC, read_container, read_sidecar, write_container
+from fringeproc.container import (
+    HEADER,
+    MAGIC,
+    read_container,
+    read_orientation,
+    read_sidecar,
+    write_atomic,
+    write_container,
+    write_json,
+)
 from fringeproc.errors import (
     BadMagicError,
+    FormatError,
     NonFiniteSampleError,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -105,3 +115,30 @@ def test_sidecar_rejects_unknown_kind(tmp_path):
     with pytest.raises(ValueError, match="kind"):
         write_container(tmp_path / "x.fpai", np.zeros((8, 8)),
                         meta={"kind": "???"})
+
+
+def test_read_orientation_single_channel_all_valid(tmp_path):
+    path = tmp_path / "fo.fpai"
+    angles = np.abs(random_f32((8, 8)))
+    write_container(path, angles)
+    fo = read_orientation(path)
+    assert np.array_equal(fo.angles, angles)
+    assert fo.valid.all()
+    write_container(path, np.zeros((2, 8, 8)))
+    with pytest.raises(FormatError, match="single-channel"):
+        read_orientation(path)
+
+
+def test_write_json_layout(tmp_path):
+    write_json(tmp_path / "x.json", {"b": 1, "a": [1, 2]})
+    assert (tmp_path / "x.json").read_text() == (
+        '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n')
+
+
+def test_failed_atomic_write_keeps_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_atomic(path, b"new", "not bytes")
+    assert path.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [path]

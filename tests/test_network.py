@@ -145,7 +145,8 @@ class TestConv:
 
     def test_final_layer_memory_stays_near_input_size(self):
         # a 32->2 conv at 256^2: its im2col matrix would be k^2 = 9x the input
-        # (151 MB); padded input plus one row block must stay well below that
+        # (151 MB) and a whole zero-padded copy 1.05x; one padded window of
+        # rows plus one row block must stay well below both
         x = np.random.default_rng(0).standard_normal((32, 256, 256))
         w = np.random.default_rng(1).standard_normal((2, 32, 3, 3))
         tracemalloc.start()
@@ -154,7 +155,26 @@ class TestConv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * x.nbytes
+        assert peak < 0.5 * x.nbytes
+
+    @pytest.mark.parametrize("k,window_rows", [(3, 4), (5, 1), (5, 3)])
+    def test_many_windows_match_one(self, monkeypatch, k, window_rows):
+        # 3 channels, 11 px wide: windows of 1 row (fewer than the padding p=2),
+        # 3 and 4 rows over a height of 13, so the last window is partial
+        rng = np.random.default_rng(k + window_rows)
+        x = rng.standard_normal((3, 13, 11))
+        w = rng.standard_normal((2, 3, k, k))
+        b = rng.standard_normal(2)
+        d_out = rng.standard_normal((2, 13, 11))
+        # one-row blocks either way, so the kernel gradient sums in one order
+        monkeypatch.setattr(network, "_BLOCK_BYTES", 8 * k * k * 3 * (11 + k - 1))
+        whole = conv2d_same(x, w, b), conv2d_backward(d_out, x, w)
+        monkeypatch.setattr(network, "_WINDOW_BYTES", 8 * 3 * window_rows * (11 + k - 1))
+        assert [rows for _, rows, _ in network._shifted_row_blocks(x, k)] == [1] * 13
+        windowed = conv2d_same(x, w, b), conv2d_backward(d_out, x, w)
+        assert np.array_equal(windowed[0], whole[0])
+        assert all(np.array_equal(got, want) for got, want in zip(windowed[1], whole[1]))
+        assert rel_err(windowed[0], im2col_conv(x, w, b)) < 1e-12
 
 
 class TestConfig:
@@ -275,11 +295,7 @@ class TestMaxpool:
 
 class TestUpsample:
     def test_round_trip_block_sum(self):
-        from fringeproc.network import upsample_nearest, upsample_nearest_backward
-        x = np.arange(8, dtype=float).reshape(2, 2, 2)
-        up = upsample_nearest(x, 2)
-        assert up.shape == (2, 4, 4)
-        assert np.all(up[:, :2, :2] == x[:, :1, :1] * 0 + x[:, 0:1, 0:1])
+        from fringeproc.network import upsample_nearest_backward
         # backward sums each 2x2 block: ones gradient -> 4 per source pixel
         back = upsample_nearest_backward(np.ones((2, 4, 4)), 2)
         assert np.all(back == 4.0)

@@ -244,6 +244,14 @@ class TestDataset:
             outliers += np.sum((arr < -1 - 4 * std) | (arr > 1 + 4 * std))
         assert outliers / total < 1e-3  # 4-sigma Gaussian tail, asserted softly
 
+    def test_unserialisable_manifest_leaves_no_file(self, tmp_path):
+        manifest = DatasetManifest(base_seed=3, count=1, rows=16, cols=16)
+        manifest.items[0]["note"] = object()
+        with pytest.raises(TypeError):
+            make_dataset(manifest, tmp_path / "ds")
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+        assert not list((tmp_path / "ds").glob("*.tmp"))
+
     def test_derived_seeds_are_stable(self):
         # the documented SplitMix64 mixing must not drift between runs
         assert derive_seed(0, 0) == derive_seed(0, 0)
