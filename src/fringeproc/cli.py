@@ -7,9 +7,11 @@ format, 4 numerical-stage failure. Every command accepts --seed and
 a JSON manifest next to its primary output with the fields ``tool``,
 ``version``, ``command`` and ``args`` (every parsed option) plus the command's
 own results: enough to reproduce the outputs byte-identically. --json-report
-writes the same JSON to a file or, with '-', to stdout. Every file goes through
+writes the same JSON to a file or, with '-', to stdout; the one-line progress
+message goes to stderr, so stdout stays valid JSON. Every file goes through
 ``container.write_atomic`` (temp file + rename), so none is left truncated.
-FRINGEPROC_THREADS caps benchmark parallelism (default 1).
+FRINGEPROC_THREADS caps benchmark parallelism (default 1; a value that is not
+a positive integer is a usage error).
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _record(args, manifest_path, message: str, **fields) -> int:
                "args": recorded, **fields}
     write_json(manifest_path, payload)
     _emit_report(args.json_report, payload)
-    print(message)
+    print(message, file=sys.stderr)  # stdout carries only a '-' report
     return 0
 
 
@@ -336,7 +338,20 @@ def _benchmark_case(payload):
     return rows
 
 
+def _benchmark_workers() -> int:
+    """FRINGEPROC_THREADS as a positive worker count (default 1)."""
+    text = os.environ.get("FRINGEPROC_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"FRINGEPROC_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def cmd_benchmark(args) -> int:
+    workers = _benchmark_workers()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ("gradient", "cpfg", "deeporient"):
@@ -362,7 +377,6 @@ def cmd_benchmark(args) -> int:
                               args.exclude_border))
                 case_idx += 1
 
-    workers = int(os.environ.get("FRINGEPROC_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_benchmark_case, cases))

@@ -12,10 +12,14 @@ cache-sized block of output rows: the k^2 kernel taps of the zero-padded,
 row-flattened input are contiguous shifted slices, stacked into a reused
 buffer, so no full im2col patch matrix is ever built. Maxpool routes gradients
 through its argmax, nearest upsample block-sums them.
-``forward`` keeps nothing: ReLU and the residual add run in place, and each
-activation is dropped once the next layer has read it. ``backward`` caches
-only post-ReLU activations and takes every ReLU gate from them.
-Weights live as float64 in memory and as float32 in the FPAW file.
+``forward`` keeps nothing: ReLU and the residual add run in place, each
+activation is dropped once the next layer has read it, and max-pooling takes
+the max of four strided views without building any routing. ``backward``
+caches only post-ReLU activations and takes every ReLU gate from them.
+Weights live as float64 in memory and as float32 in the FPAW file. The
+forward pass computes in the input's precision: float32 for float32 input
+(``infer_orientation`` casts to it, as FPAI samples are float32 anyway),
+float64 otherwise. ``backward``, and so training, always runs in float64.
 """
 
 from __future__ import annotations
@@ -159,11 +163,13 @@ def build_network(cfg: NetworkConfig, init_seed: int) -> ModelWeights:
 # Layer primitives (forward + exact backward)
 
 
-# Bytes of float64 in one block of shifted rows (~1 MB): large enough for
-# BLAS to run at speed, small enough to stay in cache while it is filled.
+# Bytes in one block of shifted rows (~1 MB, in the input's dtype, so float32
+# blocks hold twice the rows): large enough for BLAS to run at speed, small
+# enough to stay in cache while it is filled.
 _BLOCK_BYTES = 1 << 20
-# Bytes of float64 in the zero-padded window of input rows the blocks are cut
-# from (~4 MB): a 512 px image is padded a window at a time, never whole.
+# Bytes in the zero-padded window of input rows the blocks are cut from
+# (~4 MB, in the input's dtype): a 512 px image is padded a window at a time,
+# never whole.
 _WINDOW_BYTES = 1 << 22
 
 
@@ -177,17 +183,19 @@ def _shifted_row_blocks(x: np.ndarray, k: int):
     window's first output row. ``block`` stacks those k^2 slices tap-major,
     channel-minor into a (k^2*Cin, rows*Wp) matrix; the last 2p columns of each
     row are junk. The buffers are reused, so consume a block before the next.
+    Both are in x's dtype.
     """
     c, h, w = x.shape
     p = k // 2
     wp = w + 2 * p
     depth = k * k * c
-    rows = max(1, min(h, _BLOCK_BYTES // (8 * depth * wp)))
+    item = x.dtype.itemsize
+    rows = max(1, min(h, _BLOCK_BYTES // (item * depth * wp)))
     # output rows per window: whole blocks, at most the image
-    span = min(h, rows * max(1, _WINDOW_BYTES // (8 * c * rows * wp)))
-    window = np.zeros((c, span + 2 * p + 1, wp))
+    span = min(h, rows * max(1, _WINDOW_BYTES // (item * c * rows * wp)))
+    window = np.zeros((c, span + 2 * p + 1, wp), dtype=x.dtype)
     xf = window.reshape(c, -1)
-    buf = np.empty(depth * rows * wp)
+    buf = np.empty(depth * rows * wp, dtype=x.dtype)
     for s0 in range(0, h, span):
         s1 = min(h, s0 + span)
         # padded row q of the window holds image row s0 + q - p
@@ -208,16 +216,16 @@ def _shifted_row_blocks(x: np.ndarray, k: int):
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlation with same-padding: (Cin,H,W) -> (Cout,H,W)."""
+    """Cross-correlation with same-padding: (Cin,H,W) -> (Cout,H,W), in x's dtype."""
     cout, _, k, _ = w.shape
     h, ww = x.shape[1], x.shape[2]
     wp = ww + 2 * (k // 2)
-    w_mat = w.transpose(0, 2, 3, 1).reshape(cout, -1)
-    out = np.empty((cout, h, ww))
+    w_mat = w.transpose(0, 2, 3, 1).reshape(cout, -1).astype(x.dtype, copy=False)
+    out = np.empty((cout, h, ww), dtype=x.dtype)
     for r0, rows, block in _shifted_row_blocks(x, k):
         out[:, r0 : r0 + rows] = (w_mat @ block).reshape(cout, rows, wp)[:, :, :ww]
     if b is not None:
-        out += b[:, np.newaxis, np.newaxis]
+        out += b.astype(x.dtype, copy=False)[:, np.newaxis, np.newaxis]
     return out
 
 
@@ -253,6 +261,19 @@ def maxpool2(x: np.ndarray):
     return out, idx
 
 
+def _maxpool2_values(x: np.ndarray) -> np.ndarray:
+    """The pooled output of ``maxpool2`` alone: the max of four strided views.
+
+    np.maximum returns its second argument when the two compare equal (seen
+    only as +0.0 against -0.0), so each earlier tile element goes second and
+    wins ties, as argmax does; the result is byte-identical to ``maxpool2``'s.
+    """
+    out = np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2])
+    np.maximum(x[:, 1::2, 0::2], out, out=out)
+    np.maximum(x[:, 1::2, 1::2], out, out=out)
+    return out
+
+
 def maxpool2_backward(d_out: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
     c, h, w = in_shape
     tiles = np.zeros((c, h // 2, w // 2, 4))
@@ -278,17 +299,20 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
 
     ReLU and the residual add run in place, so every kept activation is
     post-ReLU and ``backward`` reads each gate from it (relu(s) > 0 iff s > 0).
-    Unless ``record`` is set, caches is None and each activation is dropped as
-    soon as the next layer has consumed it. With ``record``, caches holds the
-    input "x0", the final conv's input "concat" and, per path, the input conv's
-    output "in", the pooling routes "pools" and per residual block "x_in",
-    "r1" (the inner ReLU) and "out" (the next block's "x_in").
+    Unless ``record`` is set, caches is None, each activation is dropped as
+    soon as the next layer has consumed it, and the pass computes in float32
+    when img is float32. With ``record`` it computes in float64, and caches
+    holds the input "x0", the final conv's input "concat" and, per path, the
+    input conv's output "in", the pooling routes "pools" and per residual block
+    "x_in", "r1" (the inner ReLU) and "out" (the next block's "x_in").
     """
     cfg = weights.config
     cfg.check_input_shape(img.shape)
     t = weights.tensors
     f = cfg.filters
-    x0 = np.asarray(img, dtype=np.float64)[np.newaxis]  # (1, H, W)
+    img = np.asarray(img)
+    dtype = np.float32 if img.dtype == np.float32 and not record else np.float64
+    x0 = img.astype(dtype, copy=False)[np.newaxis]  # (1, H, W)
     caches = {"x0": x0, "paths": []} if record else None
 
     # allocated after the first path, so it is not live during that path's
@@ -302,11 +326,12 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
             caches["paths"].append(cache)
 
         for _ in range(p - 1):
-            shape = h.shape
-            h, idx = maxpool2(h)
             if record:
+                shape = h.shape
+                h, idx = maxpool2(h)
                 cache["pools"].append((idx, shape))
-            del idx
+            else:
+                h = _maxpool2_values(h)
 
         for b in range(1, cfg.blocks_per_path + 1):
             x_in = h
@@ -322,7 +347,7 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
             del x_in, r1
 
         if concat is None:
-            concat = np.empty((cfg.paths * f,) + x0.shape[1:])
+            concat = np.empty((cfg.paths * f,) + x0.shape[1:], dtype=dtype)
         # nearest-neighbour upsampling, broadcast straight into the path's slice
         up = concat[(p - 1) * f : p * f].reshape(f, h.shape[1], 2 ** (p - 1), h.shape[2], -1)
         up[...] = h[:, :, np.newaxis, :, np.newaxis]
@@ -335,7 +360,8 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
 
 
 def forward(weights: ModelWeights, img: np.ndarray) -> OrientationEncoding:
-    """Deterministic forward pass; output channels match the input size."""
+    """Deterministic forward pass, in float32 for float32 input and in float64
+    for any other; output channels match the input size."""
     out, _ = _forward(weights, img)
     return OrientationEncoding(sin2=out[0], cos2=out[1])
 
@@ -359,8 +385,7 @@ def backward(weights: ModelWeights, img: np.ndarray,
     loss = float(np.mean(diff**2))
     d_out = 2.0 * diff / n
 
-    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
-
+    grads = {}
     d_concat, grads["final.w"], grads["final.b"] = conv2d_backward(
         d_out, caches["concat"], t["final.w"]
     )
@@ -398,12 +423,15 @@ def backward(weights: ModelWeights, img: np.ndarray,
         grads[f"path{p}.in.w"] = dwi
         grads[f"path{p}.in.b"] = dbi
 
+    grads = {name: grads[name] for name in t}  # the weights' order
     return grads, loss, OrientationEncoding(sin2=out[0], cos2=out[1])
 
 
 def infer_orientation(weights: ModelWeights, img: np.ndarray) -> OrientationMap:
-    """Forward, then decode (sin, cos) to [0, pi); weak outputs are invalid."""
-    return decode_orientation(forward(weights, img))
+    """Forward in float32, then decode (sin, cos) in float64 to [0, pi); weak
+    outputs are invalid."""
+    enc = forward(weights, np.asarray(img, dtype=np.float32))
+    return decode_orientation(OrientationEncoding.from_array(enc.to_array()))
 
 
 # --------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class TestOrientClassic:
         fo_out = tmp_path / "fo.fpai"
         assert run("orient-classic", "--input", peaks_object, "--method", "cpfg",
                    "--window", "2", "--out", fo_out) == 0
-        capsys.readouterr()  # drop the progress line before parsing JSON
+        capsys.readouterr()  # drop orient-classic's output before parsing JSON
         assert run("evaluate", "--pred", fo_out,
                    "--ref", peaks_object.parent / "obj_fo.fpai",
                    "--exclude-border", "8", "--json") == 0
@@ -228,6 +228,20 @@ class TestPipeline:
 
 
 class TestBenchmark:
+    @pytest.mark.parametrize("threads", ["two", "0"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, threads):
+        # checked before the (missing) model is read, which would exit 3
+        proc = subprocess.run(
+            [sys.executable, "-m", "fringeproc.cli", "benchmark", "--a-values", "0",
+             "--methods", "deeporient", "--model", str(tmp_path / "missing.fpaw"),
+             "--out", str(tmp_path / "r.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC, "FRINGEPROC_THREADS": threads},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "FRINGEPROC_THREADS" in proc.stderr
+        assert not (tmp_path / "r.csv").exists()
+
     def test_row_count_and_determinism(self, tmp_path):
         args = ["benchmark", "--a-values", "0,2", "--noise-std", "0.1",
                 "--methods", "gradient,cpfg", "--reps", "2", "--size", "32",
@@ -341,6 +355,8 @@ def test_every_command_records_one_manifest(case, tmp_path, peaks_object, tiny_m
     assert manifest["version"]
     assert manifest["command"] == argv[0]
     assert manifest["args"]["seed"] == 3 and "json_report" not in manifest["args"]
-    # the report on stdout is the manifest, byte for byte, before the progress line
-    assert capsys.readouterr().out.startswith(text)
+    # stdout is the report alone, the manifest byte for byte; progress goes to stderr
+    out = capsys.readouterr().out
+    assert out == text
+    assert json.loads(out) == manifest
     assert not list(tmp_path.rglob("*.tmp"))

@@ -13,10 +13,11 @@ from fringeproc.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from fringeproc.maps import OrientationEncoding
+from fringeproc.maps import OrientationEncoding, decode_orientation
 from fringeproc.network import (
     NetworkConfig,
     _forward,
+    _maxpool2_values,
     backward,
     build_network,
     conv2d_backward,
@@ -265,18 +266,89 @@ class TestForward:
             tracemalloc.stop()
         return out, current, peak
 
-    def test_peak_below_eight_activations(self, traced_desk_forward):
-        # keeping every activation for a backward pass peaked near 19 of them
+    def test_peak_below_four_activations(self, traced_desk_forward):
+        # keeping every activation for a backward pass peaked near 19 of them,
+        # and pooling through a copy of its whole input near 4.5
         _, _, peak = traced_desk_forward
         activation = 16 * 256 * 256 * 8
-        assert peak < 8 * activation
+        assert peak < 4 * activation
 
     def test_nothing_retained(self, traced_desk_forward):
         out, current, _ = traced_desk_forward
         assert current <= out.sin2.base.nbytes + 64 * 1024
 
 
+class TestPrecision:
+    def test_dtype_follows_input(self):
+        w = build_network(TINY, 5)
+        img = random_input((16, 16))
+        for dtype in (np.float32, np.float64):
+            out = forward(w, img.astype(dtype))
+            assert out.sin2.dtype == dtype and out.cos2.dtype == dtype
+        assert forward(w, np.ones((16, 16), dtype=int)).sin2.dtype == np.float64
+
+    @pytest.fixture(scope="class")
+    def desk_256(self):
+        w = build_network(DESK, 0)
+        img = random_input((256, 256), seed=3)
+        img[64:192, 64:192] = 0.0  # a blank patch, so the mask is not all valid
+        return w, img
+
+    def test_float32_forward_close_to_float64(self, desk_256):
+        w, img = desk_256
+        ref = forward(w, img)
+        out = forward(w, img.astype(np.float32))
+        for a, b in ((out.sin2, ref.sin2), (out.cos2, ref.cos2)):
+            assert np.max(np.abs(a.astype(np.float64) - b)) < 1e-5
+
+    def test_inference_keeps_the_float64_mask(self, desk_256):
+        w, img = desk_256
+        fo = infer_orientation(w, img)
+        ref = decode_orientation(forward(w, img))
+        assert fo.angles.dtype == np.float64
+        assert 0 < np.count_nonzero(~ref.valid) < img.size
+        assert np.array_equal(fo.valid, ref.valid)
+        gap = np.abs(fo.angles - ref.angles)[fo.valid]
+        assert np.max(np.minimum(gap, np.pi - gap)) < 1e-4  # angles are mod pi
+
+    def test_inference_peak_below_two_and_a_half_activations(self, desk_256):
+        # float64 inference peaked at 4.5 float64 activations
+        w, img = desk_256
+        tracemalloc.start()
+        try:
+            infer_orientation(w, img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (16 * 256 * 256 * 8)
+
+    def test_backward_stays_float64(self):
+        w = build_network(TINY, 5)
+        img = random_input((16, 16))
+        grads, _, pred = backward(w, img.astype(np.float32), random_target((16, 16)))
+        ref, _, _ = backward(w, img.astype(np.float32).astype(np.float64),
+                             random_target((16, 16)))
+        assert list(grads) == list(w.tensors)
+        assert pred.sin2.dtype == np.float64
+        for name in grads:
+            assert grads[name].dtype == np.float64
+            assert grads[name].tobytes() == ref[name].tobytes()
+
+
 class TestMaxpool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_only_pool_matches_maxpool2(self, dtype):
+        rng = np.random.default_rng(8)
+        # few distinct values, so most tiles hold ties, and every zero signed
+        x = rng.integers(-2, 3, size=(3, 16, 24)).astype(dtype)
+        x[x == 0] = np.where(rng.random(np.count_nonzero(x == 0)) < 0.5, 0.0, -0.0)
+        x[0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+        x[0, :2, 2:4] = [[0.0, -0.0], [-0.0, 0.0]]
+        pooled = _maxpool2_values(x)
+        assert pooled.dtype == dtype
+        assert pooled.tobytes() == maxpool2(x)[0].tobytes()
+        assert np.signbit(pooled[0, 0, 0]) and not np.signbit(pooled[0, 0, 1])
+
     def test_tie_routes_to_first_argmax(self):
         x = np.full((1, 2, 2), 3.0)  # a fully tied tile
         out, idx = maxpool2(x)
