@@ -30,9 +30,16 @@ from .maps import OrientationMap
 TAU = 2.0 * np.pi
 
 
-def _wrap(d: np.ndarray) -> np.ndarray:
-    """Wrap differences into (-pi, pi]."""
-    return d - TAU * np.floor(d / TAU + 0.5)
+def _wrap(d: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Wrap differences into (-pi, pi] in place: d - 2*pi*floor(d/(2*pi) + 0.5).
+
+    ``work`` is a work buffer of d's shape.
+    """
+    np.divide(d, TAU, out=work)
+    np.add(work, 0.5, out=work)
+    np.floor(work, out=work)
+    np.multiply(work, TAU, out=work)
+    return np.subtract(d, work, out=d)
 
 
 def reliability_map(wrapped: np.ndarray) -> np.ndarray:
@@ -50,19 +57,32 @@ def reliability_map(wrapped: np.ndarray) -> np.ndarray:
     d2 = np.zeros((rows, cols))
     if rows < 3 or cols < 3:
         return d2
-    inner = np.s_[1:-1, 1:-1]
-
-    def second_diff(off):
-        dr, dc = off
-        before = wrapped[1 - dr : rows - 1 - dr, 1 - dc : cols - 1 - dc]
-        after = wrapped[1 + dr : rows - 1 + dr, 1 + dc : cols - 1 + dc]
-        center = wrapped[inner]
-        return _wrap(before - center) - _wrap(center - after)
-
-    total = np.zeros((rows - 2, cols - 2))
-    for off in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        total += second_diff(off) ** 2
-    d2[inner] = 1.0 / (total + 1e-30)
+    total = d2[1:-1, 1:-1]
+    diff_buf = np.empty((rows - 1, cols - 1))
+    work_buf = np.empty((rows - 1, cols - 1))
+    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        # diff[q] = wrapped[q] - wrapped[q + off] for every q that is an inner
+        # pixel p or its neighbour p - off, so each difference is wrapped
+        # once; the second difference at p is wrap(diff[p - off]) - wrap(diff[p])
+        a, b = max(dc, 0), max(-dc, 0)
+        h, w = rows - 2 + dr, cols - 2 + abs(dc)
+        diff, work = diff_buf[:h, :w], work_buf[:h, :w]
+        np.subtract(
+            wrapped[1 - dr : rows - 1, 1 - a : cols - 1 + b],
+            wrapped[1 : rows - 1 + dr, 1 - a + dc : cols - 1 + b + dc],
+            out=diff,
+        )
+        _wrap(diff, work)
+        second = work[: rows - 2, : cols - 2]
+        np.subtract(
+            diff[: rows - 2, b : b + cols - 2],
+            diff[dr : dr + rows - 2, a : a + cols - 2],
+            out=second,
+        )
+        np.multiply(second, second, out=second)
+        total += second
+    total += 1e-30
+    np.divide(1.0, total, out=total)
     return d2
 
 

@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fringeproc.image import as_real_image, fft2, gaussian_blur, gaussian_kernel, gradients
+from fringeproc.image import (
+    as_real_image,
+    fft2,
+    gaussian_blur,
+    gaussian_blur_matrix,
+    gaussian_kernel,
+    gradients,
+)
 
 
 def direct_dft2(img):
@@ -137,3 +146,41 @@ class TestGaussianBlur:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             gaussian_blur(np.zeros((8, 8)), 0.0)
+
+
+def matrix_blur(img, sigma):
+    rows, cols = img.shape
+    return gaussian_blur_matrix(rows, sigma) @ img @ gaussian_blur_matrix(cols, sigma).T
+
+
+class TestGaussianBlurMatrix:
+    # gaussian_blur is the oracle; the products only reorder its sums
+    @pytest.mark.parametrize("shape,sigma", [
+        ((256, 256), 28.0),
+        ((37, 91), 28.0),  # radius 112 exceeds both sides
+        ((64, 48), 3.0),  # radius 12 is below both sides
+        ((9, 2), 1.0),
+    ])
+    def test_matches_direct_blur(self, shape, sigma):
+        img = np.random.default_rng(8).uniform(-1.0, 1.0, shape)
+        assert np.abs(matrix_blur(img, sigma) - gaussian_blur(img, sigma)).max() < 1e-14
+
+    def test_constant_unchanged(self):
+        out = matrix_blur(np.full((37, 91), 3.7), 28.0)
+        assert np.abs(out - 3.7).max() < 1e-12
+
+    def test_single_sample_axis_is_identity(self):
+        assert np.array_equal(gaussian_blur_matrix(1, 5.0), np.ones((1, 1)))
+
+    def test_wide_kernel_stays_n_squared(self):
+        # sigma 1000 has 8001 taps; an n x taps index table would be 16 MB
+        n = 256
+        img = np.random.default_rng(9).uniform(-1.0, 1.0, (n, n))
+        tracemalloc.start()
+        try:
+            b = gaussian_blur_matrix(n, 1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
+        assert np.abs(b @ img @ b.T - gaussian_blur(img, 1000.0)).max() < 1e-13

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fringeproc.image import gradients
+from fringeproc.image import gaussian_blur, gradients
 from fringeproc.maps import circular_orientation_error
 from fringeproc.metrics import orientation_error
 from fringeproc.orientation import (
     WindowSpec,
+    _box_sum,
+    _index_window_sums,
+    _orientation_from_averaged,
+    _window_bounds,
     cpfg_orientation,
     estimate_dominant_period,
     gradient_orientation,
@@ -20,6 +29,8 @@ from fringeproc.simulate import (
     ground_truth_orientation,
     render_fringe,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def carrier_fringe(shape, period, theta):
@@ -74,6 +85,50 @@ class TestPrefilter:
         out = prefilter(0.37 * fringe + 1.5)
         interior = out[8:-8, 8:-8]
         assert 0.8 < np.percentile(np.abs(interior), 95) < 1.2
+
+    @pytest.mark.parametrize("shape,background_sigma", [
+        ((256, 256), None),  # background blur at 2T = 28
+        ((96, 256), None),  # global-mean background, envelope at the cap
+        ((48, 80), 4.0),
+    ])
+    def test_matches_direct_blur_recipe(self, shape, background_sigma):
+        # the same recipe with every blur by the direct gaussian_blur
+        phase = gen_peaks_phase(max(shape), 1.2)[: shape[0], : shape[1]]
+        phase = phase + gen_carrier(shape, CarrierSpec(14.0, 0.7))
+        img = add_gaussian_noise(render_fringe(phase), 0.05, seed=4) + 2.0
+        sigma = background_sigma
+        if sigma is None:
+            sigma = 2.0 * estimate_dominant_period(img)
+            cap = min(shape) / 8.0
+            background = gaussian_blur(img, sigma) if sigma <= cap else img.mean()
+            sigma = min(sigma, cap)
+        else:
+            background = gaussian_blur(img, sigma)
+        s = img - background
+        s = s / np.maximum(1e-6, gaussian_blur(np.abs(s), sigma) * (np.pi / 2.0))
+        want = gaussian_blur(s, 0.5)
+        assert np.abs(prefilter(img, background_sigma) - want).max() < 1e-13
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the wide blurs are BLAS products; their bytes must not follow the
+        # thread split
+        script = (
+            "import hashlib, numpy as np\n"
+            "from fringeproc.orientation import prefilter\n"
+            "from fringeproc.simulate import add_gaussian_noise, gen_carrier,"
+            " gen_peaks_phase, render_fringe, CarrierSpec\n"
+            "phase = gen_peaks_phase(256, 1.2) + gen_carrier((256, 256), CarrierSpec(14.0, 0.7))\n"
+            "img = add_gaussian_noise(render_fringe(phase), 0.05, seed=3)\n"
+            "print(hashlib.sha256(prefilter(img).tobytes()).hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestGradientOrientation:
@@ -135,6 +190,91 @@ class TestPlaneFit:
         rms = np.sqrt(np.mean((p1[inner] - g.gx[inner]) ** 2
                               + (p2[inner] - g.gy[inner]) ** 2))
         assert rms < 0.1 * scale
+
+
+def cramer_plane_fit(img, win):
+    """The 3x3 Cramer solve of the plane-fit normal equations that
+    ``plane_fit_gradients`` used before its separable closed form."""
+    rows, cols = img.shape
+    y = np.arange(rows, dtype=np.float64)[:, None]
+    x = np.arange(cols, dtype=np.float64)[None, :]
+
+    def index_sums(n):
+        lo, hi = (b.astype(np.float64) for b in _window_bounds(n, win))
+        count = hi - lo + 1.0
+        cube = lambda v: v * (v + 1.0) * (2.0 * v + 1.0) / 6.0
+        return count, 0.5 * (lo + hi) * count, cube(hi) - cube(lo - 1.0)
+
+    n_r, sy1, sy2 = (v[:, None] for v in index_sums(rows))
+    n_c, sx1, sx2 = (v[None, :] for v in index_sums(cols))
+    count = n_r * n_c
+    sx = sx1 * n_r - count * x
+    sy = sy1 * n_c - count * y
+    sxx = (sx2 - 2.0 * x * sx1) * n_r + count * x**2
+    syy = (sy2 - 2.0 * y * sy1) * n_c + count * y**2
+    sxy = (sx1 - n_c * x) * (sy1 - n_r * y)
+    ti = _box_sum(img, win)
+    tix = _box_sum(img * x, win) - x * ti
+    tiy = _box_sum(img * y, win) - y * ti
+    det = (count * (sxx * syy - sxy**2) - sx * (sx * syy - sxy * sy)
+           + sy * (sx * sxy - sxx * sy))
+    det_p1 = (count * (tix * syy - sxy * tiy) - ti * (sx * syy - sxy * sy)
+              + sy * (sx * tiy - tix * sy))
+    det_p2 = (count * (sxx * tiy - tix * sxy) - sx * (sx * tiy - tix * sy)
+              + ti * (sx * sxy - sxx * sy))
+    ok = np.abs(det) > 1e-12 * np.maximum(count, 1.0) ** 3
+    safe = np.where(ok, det, 1.0)
+    return np.where(ok, det_p1 / safe, 0.0), np.where(ok, det_p2 / safe, 0.0)
+
+
+def noisy_fringe(shape, seed):
+    phase = gen_carrier(shape, CarrierSpec(9.0, 0.4)) + gen_peaks_phase(max(shape), 1.5)[
+        : shape[0], : shape[1]]
+    return prefilter(add_gaussian_noise(render_fringe(phase), 0.1, seed=seed))
+
+
+class TestBoxSum:
+    @pytest.mark.parametrize("w", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", [(16, 16), (7, 11), (3, 4)])
+    def test_matches_clipped_window_loop(self, shape, w):
+        # integer samples make every sum exact, whatever the order
+        img = np.random.default_rng(w).integers(-50, 50, shape).astype(np.float64)
+        win = WindowSpec(w)
+        want = np.zeros(shape)
+        for i in range(shape[0]):
+            for j in range(shape[1]):
+                want[i, j] = img[max(i - win.lo, 0) : i + win.hi + 1,
+                                 max(j - win.lo, 0) : j + win.hi + 1].sum()
+        assert np.array_equal(_box_sum(img, win), want)
+
+    @pytest.mark.parametrize("w", [2, 3, 4, 5])
+    def test_window_count_closed_form(self, w):
+        count = np.outer(_index_window_sums(37, WindowSpec(w))[0],
+                         _index_window_sums(91, WindowSpec(w))[0])
+        assert np.array_equal(count, _box_sum(np.ones((37, 91)), WindowSpec(w)))
+
+
+class TestSeparablePlaneFit:
+    SHAPES = [(16, 16), (37, 91), (256, 256)]
+
+    @pytest.mark.parametrize("w", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_slopes_match_cramer(self, shape, w):
+        img = noisy_fringe(shape, seed=w)
+        for got, want in zip(plane_fit_gradients(img, WindowSpec(w)),
+                             cramer_plane_fit(img, WindowSpec(w))):
+            # relative to the map's scale: the slopes cancel to near 0 in places
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(got == 0, want == 0)
+
+    @pytest.mark.parametrize("w", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_orientation_matches_cramer(self, shape, w):
+        img = noisy_fringe(shape, seed=10 + w)
+        got = cpfg_orientation(img, WindowSpec(w))
+        want = _orientation_from_averaged(*cramer_plane_fit(img, WindowSpec(w)), WindowSpec(w))
+        assert np.array_equal(got.valid, want.valid)
+        assert circular_orientation_error(got.angles, want.angles).max() < 1e-10
 
 
 class TestCPFG:

@@ -241,6 +241,31 @@ class TestReliability:
         with pytest.raises(ValueError, match="empty"):
             reliability_map(np.zeros((0, 9)))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 50), (50, 3), (37, 91), (64, 64)])
+    def test_matches_per_stencil_wraps_bytes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for wrapped in (rng.uniform(-10.0, 10.0, shape),
+                        np.round(rng.uniform(-3.0, 3.0, shape)) * np.pi):  # +-pi ties
+            assert reliability_map(wrapped).tobytes() == per_stencil_reliability(wrapped).tobytes()
+
+
+def per_stencil_reliability(wrapped):
+    """``reliability_map`` as it was first written: two fresh wraps per
+    second difference, eight full-size temporaries per map."""
+    def wrap_diff(d):
+        return d - 2.0 * np.pi * np.floor(d / (2.0 * np.pi) + 0.5)
+
+    rows, cols = wrapped.shape
+    d2 = np.zeros((rows, cols))
+    center = wrapped[1:-1, 1:-1]
+    total = np.zeros((rows - 2, cols - 2))
+    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        before = wrapped[1 - dr : rows - 1 - dr, 1 - dc : cols - 1 - dc]
+        after = wrapped[1 + dr : rows - 1 + dr, 1 + dc : cols - 1 + dc]
+        total += (wrap_diff(before - center) - wrap_diff(center - after)) ** 2
+    d2[1:-1, 1:-1] = 1.0 / (total + 1e-30)
+    return d2
+
 
 class TestOrientationToDirection:
     def test_constant_orientation(self):
