@@ -99,6 +99,14 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _read_image(path) -> np.ndarray:
+    """An FPAI file that must hold a single-channel image."""
+    img = read_container(path)
+    if img.ndim != 2:
+        raise FormatError(f"{path}: expected a single-channel image, got shape {img.shape}")
+    return img
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -195,9 +203,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     weights = load_weights(args.model)
-    img = read_container(args.input)
-    if img.ndim != 2:
-        raise FormatError(f"{args.input}: expected a single-channel fringe image")
+    img = _read_image(args.input)
     if args.prefilter:
         img = prefilter(img)
     fo = infer_orientation(weights, img)
@@ -215,9 +221,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_orient_classic(args) -> int:
-    img = read_container(args.input)
-    if img.ndim != 2:
-        raise FormatError(f"{args.input}: expected a single-channel fringe image")
+    img = _read_image(args.input)
     if args.prefilter:
         img = prefilter(img, background_sigma=args.background_sigma,
                         smooth_sigma=args.smooth_sigma)
@@ -253,8 +257,8 @@ def cmd_unwrap(args) -> int:
 
 
 def cmd_demodulate(args) -> int:
-    fringe = read_container(args.fringe)
-    beta = read_container(args.direction)
+    fringe = _read_image(args.fringe)
+    beta = _read_image(args.direction)
     wrapped, unwrapped, info = demodulate(fringe, beta)
     meta = {"kind": "phase", "seed": args.seed,
             "params": {"fringe": str(args.fringe), "direction": str(args.direction),
@@ -288,8 +292,8 @@ def cmd_evaluate(args) -> int:
         report = EvalReport(method=str(args.pred), rmse_sin=r_sin, rmse_cos=r_cos,
                             excluded_border=0)
     else:  # rmse-phase
-        pred = read_container(args.pred)
-        ref = read_container(args.ref)
+        pred = _read_image(args.pred)
+        ref = _read_image(args.ref)
         report = EvalReport(method=str(args.pred),
                             rmse_phase=rmse_phase(pred, ref, border),
                             excluded_border=border)
@@ -414,7 +418,7 @@ def cmd_pipeline(args) -> int:
         except Exception as exc:
             raise StageError(name, exc) from exc
 
-    fringe = stage("load-fringe", lambda: read_container(args.fringe))
+    fringe = stage("load-fringe", lambda: _read_image(args.fringe))
     sidecar = read_sidecar(args.fringe)
     weights = stage("load-model", lambda: load_weights(args.model))
     pre = stage("prefilter", lambda: prefilter(fringe))
@@ -438,7 +442,7 @@ def cmd_pipeline(args) -> int:
 
         def evaluate():
             fo_ref = read_orientation(base / gt["fo"])
-            phase_ref = read_container(base / gt["phase"])
+            phase_ref = _read_image(base / gt["phase"])
             # the direction branch is inherently ambiguous; a flipped branch
             # negates the demodulated phase, so score the better global sign
             rmse_same = rmse_phase(unwrapped, phase_ref, args.exclude_border)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FormatError
+
 DEGENERATE_GRADIENT_EPS = 1e-9
 DECODE_MAGNITUDE_EPS = 1e-6
 
@@ -54,7 +56,7 @@ class OrientationEncoding:
     def from_array(cls, arr: np.ndarray) -> "OrientationEncoding":
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[0] != 2:
-            raise ValueError(f"expected a (2, rows, cols) stack, got {arr.shape}")
+            raise FormatError(f"expected a (2, rows, cols) stack, got {arr.shape}")
         return cls(sin2=arr[0], cos2=arr[1])
 
 

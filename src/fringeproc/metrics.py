@@ -70,21 +70,12 @@ def valid_fraction(
     return float((fo.valid & ref.valid & region).sum() / region.sum())
 
 
-def rmse_channels(
-    pred: OrientationEncoding,
-    target: OrientationEncoding,
-    return_maps: bool = False,
-):
-    """Per-channel RMS difference; optionally also the |difference| error maps."""
+def rmse_channels(pred: OrientationEncoding, target: OrientationEncoding):
+    """Per-channel RMS difference: (rmse_sin, rmse_cos)."""
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    err_sin = np.abs(pred.sin2 - target.sin2)
-    err_cos = np.abs(pred.cos2 - target.cos2)
-    rmse_sin = float(np.sqrt(np.mean(err_sin**2)))
-    rmse_cos = float(np.sqrt(np.mean(err_cos**2)))
-    if return_maps:
-        return rmse_sin, rmse_cos, err_sin, err_cos
-    return rmse_sin, rmse_cos
+    return (float(np.sqrt(np.mean((pred.sin2 - target.sin2) ** 2))),
+            float(np.sqrt(np.mean((pred.cos2 - target.cos2) ** 2))))
 
 
 def rmse_phase(

@@ -10,12 +10,13 @@ everywhere so output height/width always equal the input's.
 Forward/backward are exact (no autograd). Convolutions run as one GEMM per
 cache-sized block of output rows: the k^2 kernel taps of the zero-padded,
 row-flattened input are contiguous shifted slices, stacked into a reused
-buffer, so no full im2col patch matrix is ever built. Maxpool routes gradients
-through its argmax, nearest upsample block-sums them.
-``forward`` keeps nothing: ReLU and the residual add run in place, each
-activation is dropped once the next layer has read it, and max-pooling takes
-the max of four strided views without building any routing. ``backward``
-caches only post-ReLU activations and takes every ReLU gate from them.
+buffer, so no full im2col patch matrix is ever built. Max-pooling takes the
+max of four strided views; its backward routes each gradient to the first
+tile element equal to the pooled value (argmax's pick). Nearest upsample
+block-sums gradients. ``forward`` keeps nothing: ReLU and the residual add
+run in place and each activation is dropped once the next layer has read it.
+``backward`` caches only post-ReLU activations (pooled ones included) and
+takes every ReLU gate and pooling route from them.
 Weights live as float64 in memory and as float32 in the FPAW file. The
 forward pass computes in the input's precision: float32 for float32 input
 (``infer_orientation`` casts to it, as FPAI samples are float32 anyway),
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -81,21 +82,11 @@ class NetworkConfig:
             )
 
     def to_json(self) -> dict:
-        return {
-            "paths": self.paths,
-            "filters": self.filters,
-            "blocks_per_path": self.blocks_per_path,
-            "kernel_size": self.kernel_size,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "NetworkConfig":
-        return cls(
-            paths=data["paths"],
-            filters=data["filters"],
-            blocks_per_path=data["blocks_per_path"],
-            kernel_size=data["kernel_size"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def tensor_specs(cfg: NetworkConfig) -> list[tuple[str, tuple]]:
@@ -248,25 +239,12 @@ def conv2d_backward(d_out: np.ndarray, x: np.ndarray, w: np.ndarray):
     return dx, dw, db
 
 
-def maxpool2(x: np.ndarray):
-    """2x2 stride-2 max; returns (pooled, argmax routing for backward)."""
-    c, h, w = x.shape
-    tiles = (
-        x.reshape(c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h // 2, w // 2, 4)
-    )
-    idx = tiles.argmax(axis=3)
-    out = np.take_along_axis(tiles, idx[..., None], axis=3)[..., 0]
-    return out, idx
-
-
-def _maxpool2_values(x: np.ndarray) -> np.ndarray:
-    """The pooled output of ``maxpool2`` alone: the max of four strided views.
+def _maxpool(x: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 max, in x's dtype: the max of four strided views.
 
     np.maximum returns its second argument when the two compare equal (seen
     only as +0.0 against -0.0), so each earlier tile element goes second and
-    wins ties, as argmax does; the result is byte-identical to ``maxpool2``'s.
+    wins ties, as argmax over the row-major tile would.
     """
     out = np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2])
     np.maximum(x[:, 1::2, 0::2], out, out=out)
@@ -274,15 +252,17 @@ def _maxpool2_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def maxpool2_backward(d_out: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
-    c, h, w = in_shape
-    tiles = np.zeros((c, h // 2, w // 2, 4))
-    np.put_along_axis(tiles, idx[..., None], d_out[..., None], axis=3)
-    return (
-        tiles.reshape(c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h, w)
-    )
+def _maxpool_backward(d_out: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Route each pooled gradient to the first tile element (row-major) of x
+    equal to its pooled value, which is argmax's pick; the rest get 0."""
+    dx = np.zeros(x.shape)
+    free = np.ones(pooled.shape, dtype=bool)  # tiles not yet routed
+    for i in (0, 1):
+        for j in (0, 1):
+            hit = free & (x[:, i::2, j::2] == pooled)
+            np.copyto(dx[:, i::2, j::2], d_out, where=hit)
+            free &= ~hit
+    return dx
 
 
 def upsample_nearest_backward(d_out: np.ndarray, factor: int) -> np.ndarray:
@@ -299,19 +279,19 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
 
     ReLU and the residual add run in place, so every kept activation is
     post-ReLU and ``backward`` reads each gate from it (relu(s) > 0 iff s > 0).
-    Unless ``record`` is set, caches is None, each activation is dropped as
-    soon as the next layer has consumed it, and the pass computes in float32
-    when img is float32. With ``record`` it computes in float64, and caches
-    holds the input "x0", the final conv's input "concat" and, per path, the
-    input conv's output "in", the pooling routes "pools" and per residual block
-    "x_in", "r1" (the inner ReLU) and "out" (the next block's "x_in").
+    The pass computes in float32 when img is float32 and in float64 otherwise.
+    Unless ``record`` is set, caches is None and each activation is dropped as
+    soon as the next layer has consumed it. With ``record``, caches holds the
+    input "x0", the final conv's input "concat" and, per path, the input conv's
+    output "in", each pooling's (input, output) pair "pools" and per residual
+    block "x_in", "r1" (the inner ReLU) and "out" (the next block's "x_in").
     """
     cfg = weights.config
     cfg.check_input_shape(img.shape)
     t = weights.tensors
     f = cfg.filters
     img = np.asarray(img)
-    dtype = np.float32 if img.dtype == np.float32 and not record else np.float64
+    dtype = np.float32 if img.dtype == np.float32 else np.float64
     x0 = img.astype(dtype, copy=False)[np.newaxis]  # (1, H, W)
     caches = {"x0": x0, "paths": []} if record else None
 
@@ -326,12 +306,11 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
             caches["paths"].append(cache)
 
         for _ in range(p - 1):
+            pooled = _maxpool(h)
             if record:
-                shape = h.shape
-                h, idx = maxpool2(h)
-                cache["pools"].append((idx, shape))
-            else:
-                h = _maxpool2_values(h)
+                cache["pools"].append((h, pooled))
+            h = pooled
+            del pooled  # else the first block's input outlives that block
 
         for b in range(1, cfg.blocks_per_path + 1):
             x_in = h
@@ -375,7 +354,7 @@ def backward(weights: ModelWeights, img: np.ndarray,
     """
     cfg = weights.config
     t = weights.tensors
-    out, caches = _forward(weights, img, record=True)
+    out, caches = _forward(weights, np.asarray(img, dtype=np.float64), record=True)
     target_arr = target.to_array()
     if target_arr.shape != out.shape:
         raise ValueError(f"target shape {target_arr.shape} != output {out.shape}")
@@ -415,8 +394,8 @@ def backward(weights: ModelWeights, img: np.ndarray,
             grads[f"path{p}.block{b}.conv1.b"] = db1
             d_path = ds + dx_in
 
-        for idx, shape in reversed(cache["pools"]):
-            d_path = maxpool2_backward(d_path, idx, shape)
+        for x, pooled in reversed(cache["pools"]):
+            d_path = _maxpool_backward(d_path, x, pooled)
 
         d_pre = d_path * (cache["in"] > 0.0)
         _, dwi, dbi = conv2d_backward(d_pre, caches["x0"], t[f"path{p}.in.w"])
@@ -465,9 +444,9 @@ def _parse_header(blob: bytes, path) -> tuple[NetworkConfig, list[tuple]]:
     cfg_json, table = meta.get("config"), meta.get("tensors")
     if not isinstance(cfg_json, dict) or not isinstance(table, list):
         raise HeaderError(f"{path}: header needs a 'config' object and a 'tensors' list")
-    fields = ("paths", "filters", "blocks_per_path", "kernel_size")
-    if any(type(cfg_json.get(name)) is not int for name in fields):
-        raise HeaderError(f"{path}: config needs integer {', '.join(fields)}")
+    names = [f.name for f in fields(NetworkConfig)]
+    if any(type(cfg_json.get(name)) is not int for name in names):
+        raise HeaderError(f"{path}: config needs integer {', '.join(names)}")
     try:
         cfg = NetworkConfig.from_json(cfg_json)
     except ValueError as exc:

@@ -24,7 +24,6 @@ from fringeproc.maps import (
 from fringeproc.metrics import orientation_error, rmse_phase
 from fringeproc.network import (
     NetworkConfig,
-    _forward,
     backward,
     build_network,
     forward,
@@ -49,6 +48,7 @@ from fringeproc.simulate import (
 )
 from fringeproc.training import TrainConfig, load_samples, loss_mse, train
 from fringeproc.unwrap import orientation_to_direction
+from test_network import activation_signature
 
 pytestmark = pytest.mark.slow
 
@@ -138,18 +138,6 @@ def test_criterion_05_backprop_correctness():
                                  cos2=rng.standard_normal((8, 8)))
     grads, _, _ = backward(weights, img, target)
 
-    def signature():
-        _, caches = _forward(weights, img, record=True)
-        parts = []
-        for cache in caches["paths"]:
-            parts.append((cache["in"] > 0).tobytes())
-            for idx, _ in cache["pools"]:
-                parts.append(idx.tobytes())
-            for blk in cache["blocks"]:
-                parts.append((blk["r1"] > 0).tobytes())
-                parts.append((blk["out"] > 0).tobytes())
-        return b"".join(parts)
-
     h = 1e-3
     names = list(weights.tensors)
     probe_rng = np.random.default_rng(77)
@@ -163,10 +151,10 @@ def test_criterion_05_backprop_correctness():
         i = int(probe_rng.integers(flat.size))
         orig = flat[i]
         flat[i] = orig + h
-        sig_p = signature()
+        sig_p = activation_signature(weights, img)
         lp = loss_mse(forward(weights, img), target)
         flat[i] = orig - h
-        sig_m = signature()
+        sig_m = activation_signature(weights, img)
         lm = loss_mse(forward(weights, img), target)
         flat[i] = orig
         if sig_p != sig_m:

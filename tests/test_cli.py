@@ -74,6 +74,54 @@ class TestExitCodes:
         assert run("evaluate", "--pred", img, "--ref", img) == 0
 
 
+# each command reading a single-channel image, given a file of the wrong
+# shape: "2ch" is a two-channel stack, "obj" the 32x32 peaks fringe
+WRONG_CHANNELS = {
+    "infer": ["infer", "--model", "{model}", "--input", "{2ch}", "--out", "{tmp}/x.fpai"],
+    "orient-classic": ["orient-classic", "--input", "{2ch}", "--out", "{tmp}/x.fpai"],
+    "unwrap-orientation": ["unwrap-orientation", "--input", "{2ch}",
+                           "--out", "{tmp}/x.fpai"],
+    "pipeline-fringe": ["pipeline", "--fringe", "{2ch}", "--model", "{model}",
+                        "--out-dir", "{tmp}/run"],
+    "pipeline-truth-phase": ["pipeline", "--fringe", "{obj}", "--model", "{model}",
+                             "--out-dir", "{tmp}/run", "--exclude-border", "8"],
+    "demodulate-fringe": ["demodulate", "--fringe", "{2ch}", "--direction", "{obj}",
+                          "--out-wrapped", "{tmp}/w.fpai", "--out-phase", "{tmp}/p.fpai"],
+    "demodulate-direction": ["demodulate", "--fringe", "{obj}", "--direction", "{2ch}",
+                             "--out-wrapped", "{tmp}/w.fpai",
+                             "--out-phase", "{tmp}/p.fpai"],
+    "rmse-phase": ["evaluate", "--metric", "rmse-phase", "--pred", "{2ch}",
+                   "--ref", "{2ch}"],
+    "rmse-sin-on-2d": ["evaluate", "--metric", "rmse-sin", "--pred", "{obj}",
+                       "--ref", "{obj}"],
+}
+
+
+def _wrong_channels_argv(case, tmp_path, peaks_object, tiny_model):
+    two = tmp_path / "two.fpai"
+    write_container(two, np.zeros((2, 32, 32)))
+    # the sidecar names the ground-truth phase; give it two channels too
+    write_container(tmp_path / "obj_phase.fpai", np.zeros((2, 32, 32)))
+    paths = {"2ch": two, "obj": peaks_object, "model": tiny_model, "tmp": tmp_path}
+    return [arg.format(**paths) for arg in WRONG_CHANNELS[case]]
+
+
+class TestWrongChannelCount:
+    @pytest.mark.parametrize("case", list(WRONG_CHANNELS))
+    def test_is_format_error(self, case, tmp_path, peaks_object, tiny_model):
+        assert run(*_wrong_channels_argv(case, tmp_path, peaks_object, tiny_model)) == 3
+
+    def test_reported_without_traceback(self, tmp_path, peaks_object, tiny_model):
+        argv = _wrong_channels_argv("demodulate-direction", tmp_path, peaks_object,
+                                    tiny_model)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fringeproc.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "single-channel" in proc.stderr
+
+
 class TestSimulate:
     def test_dataset_round_trip_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -80,12 +80,6 @@ class TestRmseChannels:
         r_sin, r_cos = rmse_channels(pred, target)
         assert abs(r_sin - 0.1) < 1e-12 and r_cos == 0.0
 
-    def test_error_maps_on_request(self):
-        target = OrientationEncoding(sin2=np.zeros((4, 4)), cos2=np.zeros((4, 4)))
-        pred = OrientationEncoding(sin2=np.full((4, 4), -0.25), cos2=target.cos2)
-        _, _, err_sin, err_cos = rmse_channels(pred, target, return_maps=True)
-        assert np.all(err_sin == 0.25) and np.all(err_cos == 0.0)
-
     def test_random_unit_norm_against_monte_carlo_oracle(self):
         rng = np.random.default_rng(3)
         # oracle: sampled expectation of (sin 2U - sin 2V)^2, U,V ~ Unif[0, pi)

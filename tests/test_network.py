@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fringeproc import network
@@ -17,7 +20,8 @@ from fringeproc.maps import OrientationEncoding, decode_orientation
 from fringeproc.network import (
     NetworkConfig,
     _forward,
-    _maxpool2_values,
+    _maxpool,
+    _maxpool_backward,
     backward,
     build_network,
     conv2d_backward,
@@ -25,8 +29,6 @@ from fringeproc.network import (
     forward,
     infer_orientation,
     load_weights,
-    maxpool2,
-    maxpool2_backward,
     save_weights,
     tensor_specs,
 )
@@ -46,6 +48,40 @@ def random_target(shape, seed=1):
                                cos2=rng.standard_normal(shape))
 
 
+def maxpool2(x):
+    """2x2 stride-2 max through a transposed tiles copy: (pooled, argmax
+    routes). The pooling oracle."""
+    c, h, w = x.shape
+    tiles = (
+        x.reshape(c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(c, h // 2, w // 2, 4)
+    )
+    idx = tiles.argmax(axis=3)
+    out = np.take_along_axis(tiles, idx[..., None], axis=3)[..., 0]
+    return out, idx
+
+
+def maxpool2_backward(d_out, idx, in_shape):
+    """Scatter each pooled gradient onto its argmax route: the routing oracle."""
+    c, h, w = in_shape
+    tiles = np.zeros((c, h // 2, w // 2, 4))
+    np.put_along_axis(tiles, idx[..., None], d_out[..., None], axis=3)
+    return (
+        tiles.reshape(c, h // 2, w // 2, 2, 2)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(c, h, w)
+    )
+
+
+def pool_routes(x, pooled):
+    """Argmax routes of one pooling, from its cached (input, output) pair."""
+    routes = np.full(pooled.shape, -1)
+    for k in range(3, -1, -1):  # the earliest equal tile element wins
+        routes[x[:, k // 2 :: 2, k % 2 :: 2] == pooled] = k
+    return routes
+
+
 def activation_signature(weights, img):
     """ReLU gates and pooling routes; FD checks are valid only where these
     stay fixed across the +/-h probes."""
@@ -53,8 +89,8 @@ def activation_signature(weights, img):
     parts = []
     for cache in caches["paths"]:
         parts.append((cache["in"] > 0).tobytes())
-        for idx, _ in cache["pools"]:
-            parts.append(idx.tobytes())
+        for x, pooled in cache["pools"]:
+            parts.append(pool_routes(x, pooled).tobytes())
         for blk in cache["blocks"]:
             parts.append((blk["r1"] > 0).tobytes())
             parts.append((blk["out"] > 0).tobytes())
@@ -335,32 +371,69 @@ class TestPrecision:
             assert grads[name].tobytes() == ref[name].tobytes()
 
 
+def tied_input(shape, dtype, seed):
+    """Integers in [-2, 2], so most 2x2 tiles hold ties, with every zero
+    given a random sign."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=shape).astype(dtype)
+    zeros = x == 0
+    x[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+    return x
+
+
+# tiles of the same values as tied_input, for the property test
+tile_values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
 class TestMaxpool:
+    """_maxpool / _maxpool_backward against the argmax oracle pair."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_values_only_pool_matches_maxpool2(self, dtype):
-        rng = np.random.default_rng(8)
-        # few distinct values, so most tiles hold ties, and every zero signed
-        x = rng.integers(-2, 3, size=(3, 16, 24)).astype(dtype)
-        x[x == 0] = np.where(rng.random(np.count_nonzero(x == 0)) < 0.5, 0.0, -0.0)
+        x = tied_input((3, 16, 24), dtype, seed=8)
         x[0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
         x[0, :2, 2:4] = [[0.0, -0.0], [-0.0, 0.0]]
-        pooled = _maxpool2_values(x)
+        pooled = _maxpool(x)
         assert pooled.dtype == dtype
         assert pooled.tobytes() == maxpool2(x)[0].tobytes()
         assert np.signbit(pooled[0, 0, 0]) and not np.signbit(pooled[0, 0, 1])
 
+    def test_routing_matches_oracle_bytes(self):
+        x = tied_input((3, 16, 24), np.float64, seed=9)
+        pooled, idx = maxpool2(x)
+        d_out = np.random.default_rng(10).standard_normal(pooled.shape)
+        back = _maxpool_backward(d_out, x, _maxpool(x))
+        assert back.dtype == np.float64
+        assert back.tobytes() == maxpool2_backward(d_out, idx, x.shape).tobytes()
+        # the FD signatures hash these routes in place of the oracle's
+        assert pool_routes(x, pooled).tobytes() == idx.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           c=st.integers(1, 3), rows=st.integers(1, 4), cols=st.integers(1, 4))
+    def test_property_matches_oracle(self, data, dtype, c, rows, cols):
+        shape = (c, 2 * rows, 2 * cols)
+        x = data.draw(hnp.arrays(dtype, shape, elements=tile_values))
+        d_out = data.draw(hnp.arrays(np.float64, (c, rows, cols),
+                                     elements=st.floats(-4.0, 4.0)))
+        pooled, idx = maxpool2(x)
+        assert _maxpool(x).tobytes() == pooled.tobytes()
+        x64 = x.astype(np.float64)
+        back = _maxpool_backward(d_out, x64, _maxpool(x64))
+        assert back.tobytes() == maxpool2_backward(d_out, idx, shape).tobytes()
+
     def test_tie_routes_to_first_argmax(self):
         x = np.full((1, 2, 2), 3.0)  # a fully tied tile
-        out, idx = maxpool2(x)
-        assert out[0, 0, 0] == 3.0 and idx[0, 0, 0] == 0
-        back = maxpool2_backward(np.ones((1, 1, 1)), idx, (1, 2, 2))
+        out = _maxpool(x)
+        assert out[0, 0, 0] == 3.0
+        back = _maxpool_backward(np.ones((1, 1, 1)), x, out)
         assert back[0, 0, 0] == 1.0 and back.sum() == 1.0
 
     def test_pool_and_routing_values(self):
         x = np.arange(16, dtype=float).reshape(1, 4, 4)
-        out, idx = maxpool2(x)
+        out = _maxpool(x)
         assert np.array_equal(out[0], [[5, 7], [13, 15]])
-        back = maxpool2_backward(np.array([[[1.0, 2.0], [3.0, 4.0]]]), idx, (1, 4, 4))
+        back = _maxpool_backward(np.array([[[1.0, 2.0], [3.0, 4.0]]]), x, out)
         assert back[0, 1, 1] == 1.0 and back[0, 3, 3] == 4.0
         assert back.sum() == 10.0
 
