@@ -20,7 +20,6 @@ import numpy as np
 from .image import (
     MIN_ESTIMATOR_SIZE,
     as_real_image,
-    fft2,
     gaussian_blur,
     gaussian_blur_matrix,
     gradients,
@@ -56,13 +55,18 @@ class WindowSpec:
 
 
 def estimate_dominant_period(img: np.ndarray) -> float:
-    """Period (px) of the strongest non-DC spectral component."""
+    """Period (px) of the strongest non-DC spectral component.
+
+    A real image's spectrum is conjugate-symmetric, and mirrored bins share
+    their radius, so the real FFT's half spectrum (columns 0..cols//2) holds
+    every candidate period.
+    """
     img = as_real_image(img, min_size=MIN_ESTIMATOR_SIZE)
-    spectrum = np.abs(fft2(img - img.mean()))
+    spectrum = np.abs(np.fft.rfft2(img - img.mean()))
     spectrum[0, 0] = 0.0
     i, j = np.unravel_index(int(np.argmax(spectrum)), spectrum.shape)
     fy = np.fft.fftfreq(img.shape[0])[i]
-    fx = np.fft.fftfreq(img.shape[1])[j]
+    fx = np.fft.rfftfreq(img.shape[1])[j]
     f = float(np.hypot(fx, fy))
     if f <= 0:
         return float(min(img.shape)) / 4.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fringeproc.image import gaussian_blur, gradients
+from fringeproc.image import fft2, gaussian_blur, gradients
 from fringeproc.maps import circular_orientation_error
 from fringeproc.metrics import orientation_error
 from fringeproc.orientation import (
@@ -48,6 +48,16 @@ class TestWindowSpec:
             gradient_orientation(np.zeros((16, 16)), WindowSpec(9))
 
 
+def full_spectrum_period(img):
+    """``estimate_dominant_period`` as first written, over the full complex
+    spectrum: the oracle for the half-spectrum version."""
+    spectrum = np.abs(fft2(img - img.mean()))
+    spectrum[0, 0] = 0.0
+    i, j = np.unravel_index(int(np.argmax(spectrum)), spectrum.shape)
+    f = float(np.hypot(np.fft.fftfreq(img.shape[1])[j], np.fft.fftfreq(img.shape[0])[i]))
+    return 1.0 / f if f > 0 else float(min(img.shape)) / 4.0
+
+
 class TestPrefilter:
     def test_clean_fringe_near_zero_mean(self):
         fringe, _ = carrier_fringe((64, 64), 14.0, 0.7)
@@ -69,6 +79,16 @@ class TestPrefilter:
     def test_dominant_period_oblique(self):
         fringe, _ = carrier_fringe((128, 128), 12.0, 1.1)
         assert abs(estimate_dominant_period(fringe) - 12.0) < 1.5
+
+    @pytest.mark.parametrize("shape", [(63, 63), (65, 97), (48, 80), (80, 48), (256, 256)])
+    @pytest.mark.parametrize("theta", [0.0, 0.4, np.pi / 2, 2.3])  # both half-planes
+    def test_dominant_period_matches_full_spectrum(self, shape, theta):
+        rng = np.random.default_rng(sum(shape))
+        for period in (5.0, 14.0, 23.0):
+            phase = gen_carrier(shape, CarrierSpec(period, theta))
+            phase += rng.uniform(0.5, 2.0) * np.outer(np.hanning(shape[0]), np.hanning(shape[1]))
+            fringe = add_gaussian_noise(render_fringe(phase), 0.1, seed=int(rng.integers(1 << 30)))
+            assert estimate_dominant_period(fringe) == full_spectrum_period(fringe)
 
     def test_explicit_background_sigma_uses_blur_recipe(self):
         # a slowly varying background is removed by the literal blur path
