@@ -419,7 +419,10 @@ def cmd_pipeline(args) -> int:
             raise StageError(name, exc) from exc
 
     fringe = stage("load-fringe", lambda: _read_image(args.fringe))
-    sidecar = read_sidecar(args.fringe)
+    gt = (read_sidecar(args.fringe) or {}).get("ground_truth")
+    if gt is not None and not (isinstance(gt, dict)
+                               and all(isinstance(gt.get(k), str) for k in ("fo", "phase"))):
+        raise FormatError(f"{args.fringe}: sidecar ground_truth needs 'fo' and 'phase' file names")
     weights = stage("load-model", lambda: load_weights(args.model))
     pre = stage("prefilter", lambda: prefilter(fringe))
     fo = stage("infer-orientation", lambda: infer_orientation(weights, pre))
@@ -436,8 +439,7 @@ def cmd_pipeline(args) -> int:
 
     report = None
     sign_flipped = None
-    if sidecar and "ground_truth" in sidecar:
-        gt = sidecar["ground_truth"]
+    if gt is not None:
         base = Path(args.fringe).parent
 
         def evaluate():
@@ -607,7 +609,7 @@ def main(argv=None) -> int:
         if isinstance(exc.original, (FormatError, OSError)):
             return EXIT_IO
         return EXIT_NUMERICAL
-    except (FormatError, OSError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericalError, ValueError) as exc:

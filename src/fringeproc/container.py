@@ -82,11 +82,21 @@ def write_sidecar(path, meta: dict) -> None:
 
 
 def read_sidecar(path) -> dict | None:
+    """The sidecar's JSON object, None if there is no sidecar.
+
+    Raises FormatError for bytes that are not UTF-8 JSON, nesting too deep to
+    parse, or JSON that is not an object.
+    """
     sc = sidecar_path(path)
     if not sc.exists():
         return None
-    with open(sc, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        meta = json.loads(sc.read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+        raise FormatError(f"{sc}: unreadable JSON sidecar ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{sc}: JSON sidecar is not an object")
+    return meta
 
 
 def read_container(path) -> np.ndarray:

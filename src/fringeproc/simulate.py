@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import write_atomic, write_container
+from .errors import FormatError
 from .image import as_real_image, gaussian_blur, gradients
 from .maps import OrientationMap, encode_orientation, orientation_from_gradients
 
@@ -269,22 +270,39 @@ class DatasetManifest:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "DatasetManifest":
-        if data.get("format") != "fringeproc-dataset":
-            raise ValueError("not a dataset manifest")
-        return cls(
-            base_seed=data["base_seed"],
-            count=data["count"],
-            rows=data["rows"],
-            cols=data["cols"],
-            kernel_count_range=tuple(data["kernel_count_range"]),
-            sigma_range=tuple(data["sigma_range"]) if data["sigma_range"] else None,
-            amplitude_range=tuple(data["amplitude_range"]),
-            period_range=tuple(data["period_range"]),
-            theta_range=tuple(data["theta_range"]),
-            noise_std=data["noise_std"],
-            items=data["items"],
-        )
+    def from_json(cls, data) -> "DatasetManifest":
+        """Rebuild a manifest from ``to_json``'s output.
+
+        Raises FormatError for anything else: a value that is not a dataset
+        manifest object, a missing or malformed field, or an item without
+        'fringe', 'encoding' and 'fo' file names.
+        """
+        if not isinstance(data, dict) or data.get("format") != "fringeproc-dataset":
+            raise FormatError("not a dataset manifest")
+        items = data.get("items")
+        if not isinstance(items, list) or not all(
+                isinstance(item, dict)
+                and all(isinstance(item.get(k), str) for k in ("fringe", "encoding", "fo"))
+                for item in items):
+            raise FormatError("manifest items need 'fringe', 'encoding' and 'fo' file names")
+        try:
+            return cls(
+                base_seed=data["base_seed"],
+                count=data["count"],
+                rows=data["rows"],
+                cols=data["cols"],
+                kernel_count_range=tuple(data["kernel_count_range"]),
+                sigma_range=tuple(data["sigma_range"]) if data["sigma_range"] else None,
+                amplitude_range=tuple(data["amplitude_range"]),
+                period_range=tuple(data["period_range"]),
+                theta_range=tuple(data["theta_range"]),
+                noise_std=data["noise_std"],
+                items=items,
+            )
+        except KeyError as exc:
+            raise FormatError(f"manifest lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed manifest field ({exc})") from exc
 
 
 def simulate_item(manifest: DatasetManifest, index: int):
@@ -335,5 +353,10 @@ def make_dataset(manifest: DatasetManifest, out_dir) -> Path:
 
 
 def load_manifest(path) -> DatasetManifest:
-    with open(path, encoding="utf-8") as fh:
-        return DatasetManifest.from_json(json.load(fh))
+    """Read a dataset manifest; FormatError for anything that is not one."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return DatasetManifest.from_json(json.loads(raw.decode("utf-8")))
+    except (ValueError, RecursionError, FormatError) as exc:  # bad UTF-8 or JSON, deep nesting
+        raise FormatError(f"{path}: {exc}") from exc

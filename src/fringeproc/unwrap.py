@@ -1,23 +1,24 @@
 """Reliability-guided 2D phase unwrapping and the orientation-to-direction lift.
 
 Pixel reliability is the inverse of the summed squared wrapped second
-differences (horizontal, vertical and both diagonals). Edges between
-4-neighbours rank by the sum of their pixels' reliabilities, ties broken by
-edge index. The region merging of Herráez et al. (Appl. Opt. 41(35), 2002)
-joins regions along the edges in rank order, which is Kruskal's algorithm:
-the edges it uses form the maximum spanning tree of the reliabilities. The
-ranks are distinct, so the tree is unique, and it is built here with
-vectorised Borůvka rounds instead of an edge-by-edge merge. Each round joins
-every component along its best-ranked outgoing edge, and pointer jumping
-carries each component's 2*pi offset to its new root. Across a tree edge
-(a, b) the 2*pi count steps by round((wrapped[a] - wrapped[b]) / 2*pi). The
-result is normalized so the most reliable pixel keeps its input value.
+differences (horizontal, vertical and both diagonals). An edge between
+4-neighbours weighs the sum of its pixels' reliabilities. The region merging
+of Herráez et al. (Appl. Opt. 41(35), 2002) joins regions along the edges by
+decreasing weight, ties by edge index, which is Kruskal's algorithm: the edges
+it uses form the maximum spanning tree of the reliabilities. That order is
+strict, so the tree is unique, and it is built here with vectorised Borůvka
+rounds and no sort. Every round joins each component along its heaviest
+outgoing edge, the lowest edge index among equal weights, and pointer jumping
+carries each component's 2*pi offset to its new root. The first round runs on
+slices of the pixel grid; later rounds see only the edges left between
+components, kept in edge-index order.
 
-The first round needs no ranks: every pixel is its own component, so it picks
-its heaviest incident edge, found with slices of the pixel grid. Only the
-edges that round leaves between components (about 40 % of them on a smooth
-512² phase) are sorted, and in edge-index order their ranks among themselves
-order them as ranks over all edges would, so later rounds pick the same edges.
+Across a tree edge (a, b) the 2*pi count steps by round((wrapped[a] -
+wrapped[b]) / 2*pi). Each edge left between components carries ``jump``: its
+k[b] - k[a] minus that step, where k counts 2*pi relative to the root of the
+pixel's current component. If the edge joins the two components, the count of
+a's root minus b's root is jump. The result is normalized so the most
+reliable pixel keeps its input value.
 
 A modulo-pi orientation map lifts to a modulo-2*pi direction map by doubling,
 unwrapping, halving and reducing; the global pi branch stays inherently
@@ -92,44 +93,6 @@ def reliability_map(wrapped: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _locate(pixels: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
-    """Current component of each pixel and its 2*pi count relative to the
-    component's root, composed through the Borůvka rounds so far."""
-    comp = pixels
-    k = np.zeros(pixels.size)
-    for to, offset in levels:
-        k += offset[comp]
-        comp = to[comp]
-    return comp, k
-
-
-def _stable_argsort(key: np.ndarray) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for a 1-D key without NaNs.
-
-    numpy's stable sort of float64 is a timsort, several times slower than
-    its default quicksort. So the keys are sorted unstably, and then only the
-    positions inside runs of equal keys (-0.0 equals 0.0, as in the stable
-    sort) are put back in index order, by one int64 argsort of
-    run_id * n + index. The unwrap sorts only the edges its grid round leaves
-    between components, and phase maps tie on well under 1 % of those: on
-    uniform noise, 225k of 523k edges take 9.1 against 39 ms at 512², and 56k
-    of 131k take 1.8 against 8.2 ms at 256² (best of 7, one core). Keys that
-    all tie, as on a constant map, sort about 12x slower than the stable sort
-    (261k edges at 512², 36 against 3.0 ms).
-    """
-    order = np.argsort(key)
-    sorted_key = key[order]
-    joins = np.zeros(key.size, dtype=bool)  # equal to the key before it
-    joins[1:] = sorted_key[1:] == sorted_key[:-1]
-    in_run = joins.copy()
-    in_run[:-1] |= joins[1:]
-    pos = np.flatnonzero(in_run)
-    run_id = np.cumsum(~joins[pos], dtype=np.int64)
-    idx = order[pos]
-    order[pos] = idx[np.argsort(run_id * key.size + idx)]
-    return order
-
-
 def _hook(root: np.ndarray, parent: np.ndarray, offset: np.ndarray):
     """Hang every component directly under its root by pointer jumping.
 
@@ -195,6 +158,21 @@ def _cut_edges(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([right + 1, down + cols], dtype=np.int32))
 
 
+def _heaviest_edges(count: int, comp_a: np.ndarray, comp_b: np.ndarray,
+                    weight: np.ndarray) -> np.ndarray:
+    """Position of each component's heaviest edge, ties to the lowest position;
+    edge i joins comp_a[i] and comp_b[i], and a component with no edge gets
+    weight.size."""
+    heaviest = np.full(count, -np.inf)
+    np.maximum.at(heaviest, comp_a, weight)
+    np.maximum.at(heaviest, comp_b, weight)
+    best = np.full(count, weight.size)
+    for comp in (comp_a, comp_b):
+        top = np.flatnonzero(weight == heaviest[comp])
+        np.minimum.at(best, comp[top], top)
+    return best
+
+
 def _spanning_tree_unwrap(wrapped) -> tuple[np.ndarray, tuple[int, int]]:
     """Unwrap ``wrapped``; return (unwrapped, anchor).
 
@@ -212,39 +190,30 @@ def _spanning_tree_unwrap(wrapped) -> tuple[np.ndarray, tuple[int, int]]:
     levels = []
     count = flat.size
     if count > 1:  # a 1x1 map has no edges
-        level, count = _grid_round(rel, flat)
-        levels.append(level)
-        to = level[0]
-        # Later rounds see only the edges the grid round left between
-        # components, ranked among themselves: edge order[r] is the r-th most
-        # reliable, ties broken by edge index, as in a ranking of all edges.
+        (to, offset), count = _grid_round(rel, flat)
+        levels.append((to, offset))
+        # the edges the grid round left between components, in edge-index order
         edge_a, edge_b = _cut_edges(to.reshape(rows, cols))
         rel = rel.ravel()
-        order = _stable_argsort(-(rel[edge_a] + rel[edge_b]))
-        rank = np.empty(order.size, dtype=np.int32)
-        rank[order] = np.arange(order.size, dtype=np.int32)
-        # across a tree edge the 2*pi count steps by k[b] - k[a] = step
-        step = np.round((flat[edge_a] - flat[edge_b]) / TAU)
-        comp_a, comp_b = to[edge_a], to[edge_b]  # edges joining two components
-        while rank.size:
+        weight = rel[edge_a] + rel[edge_b]
+        jump = offset[edge_b] - offset[edge_a] - np.round((flat[edge_a] - flat[edge_b]) / TAU)
+        comp_a, comp_b = to[edge_a], to[edge_b]
+        del edge_a, edge_b
+        while weight.size:
             comp = np.arange(count, dtype=np.int32)
-            best = np.full(count, order.size, dtype=np.int32)
-            np.minimum.at(best, comp_a, rank)
-            np.minimum.at(best, comp_b, rank)
-            edge = order[best]
-            a, k_a = _locate(edge_a[edge], levels)
-            b, k_b = _locate(edge_b[edge], levels)
-            from_a = a == comp
-            other = np.where(from_a, b, a)
+            best = _heaviest_edges(count, comp_a, comp_b, weight)
+            from_a = comp_a[best] == comp
+            other = np.where(from_a, comp_b[best], comp_a[best])
             # two components that picked the same edge hang under the lower label
             root = (best[other] == best) & (comp < other)
             # 2*pi count of this component's root minus its parent's root
-            offset = np.where(from_a, k_b - k_a - step[edge], k_a - k_b + step[edge])
+            offset = np.where(from_a, jump[best], -jump[best])
             (to, offset), count = _hook(root, np.where(root, comp, other), offset)
             levels.append((to, offset))
+            jump += offset[comp_b] - offset[comp_a]
             comp_a, comp_b = to[comp_a], to[comp_b]
-            joining = comp_a != comp_b
-            comp_a, comp_b, rank = comp_a[joining], comp_b[joining], rank[joining]
+            keep = np.flatnonzero(comp_a != comp_b)
+            comp_a, comp_b, weight, jump = comp_a[keep], comp_b[keep], weight[keep], jump[keep]
 
     k = np.zeros(count)
     for to, offset in reversed(levels):

@@ -240,8 +240,44 @@ class TestTrainInfer:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr and "error:" in proc.stderr
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: [], id="list"),
+        pytest.param(lambda m: {k: v for k, v in m.items() if k != "base_seed"},
+                     id="no-base-seed"),
+        pytest.param(lambda m: {**m, "items": [{**m["items"][0], "fringe": 3}, *m["items"][1:]]},
+                     id="fringe-3"),
+    ])
+    def test_malformed_dataset_manifest_is_format_error(self, tmp_path, capsys, edit):
+        ds = _dataset(tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps(edit(manifest)))
+        assert run("train", "--dataset", ds, "--epochs", "1", "--filters", "2",
+                   "--blocks", "1", "--out", tmp_path / "m.fpaw") == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "manifest.json" in err
+        assert not (tmp_path / "m.fpaw").exists()
+
+
+# sidecars that are not a JSON object naming the ground-truth files
+BAD_SIDECARS = {
+    "json-string": json.dumps("ground_truth").encode(),
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "not-utf8": b'{"kind": "fringe\xff"}',
+    "fo-not-a-name": json.dumps({"ground_truth": {"fo": 5, "phase": "p.fpai"}}).encode(),
+    "no-fo": json.dumps({"ground_truth": {"phase": "p.fpai"}}).encode(),
+}
+
 
 class TestPipeline:
+    @pytest.mark.parametrize("case", BAD_SIDECARS)
+    def test_bad_sidecar_is_format_error(self, case, tmp_path, peaks_object, tiny_model,
+                                         capsys):
+        peaks_object.with_suffix(".json").write_bytes(BAD_SIDECARS[case])
+        assert run("pipeline", "--fringe", peaks_object, "--model", tiny_model,
+                   "--out-dir", tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "obj" in err
+
     def test_pipeline_produces_report(self, tmp_path, tiny_model):
         obj = tmp_path / "obj.fpai"
         assert run("simulate", "--mode", "object", "--out", obj, "--a", "0.3",
