@@ -13,10 +13,15 @@ row-flattened input are contiguous shifted slices, stacked into a reused
 buffer, so no full im2col patch matrix is ever built. Max-pooling takes the
 max of four strided views; its backward routes each gradient to the first
 tile element equal to the pooled value (argmax's pick). Nearest upsample
-block-sums gradients. ``forward`` keeps nothing: ReLU and the residual add
-run in place and each activation is dropped once the next layer has read it.
-``backward`` caches only post-ReLU activations (pooled ones included) and
-takes every ReLU gate and pooling route from them.
+block-sums gradients. ``forward`` runs the network over row bands of the
+input, sized by bytes, so its working set stays flat as frames grow. Each band
+carries a halo of extra rows above and below, as many as the zero padding at
+a band edge corrupts (``_halo``), and only its interior rows reach the output;
+a frame that fits one band runs whole. Within a pass, ReLU and the residual
+add run in place and each activation is dropped once the next layer has read
+it. ``backward`` runs one pass over the whole image, caches only post-ReLU
+activations (pooled ones included) and takes every ReLU gate and pooling route
+from them.
 Weights live as float64 in memory and as float32 in the FPAW file. The
 forward pass computes in the input's precision: float32 for float32 input
 (``infer_orientation`` casts to it, as FPAI samples are float32 anyway),
@@ -162,6 +167,10 @@ _BLOCK_BYTES = 1 << 20
 # (~4 MB, in the input's dtype): a 512 px image is padded a window at a time,
 # never whole.
 _WINDOW_BYTES = 1 << 22
+# Bytes in one band's filters-wide activation (~8 MB, in the input's dtype):
+# ``forward`` runs over bands of that many interior rows, 256 at 512 px wide in
+# float32, so a larger frame runs more bands rather than larger ones.
+_BAND_BYTES = 1 << 23
 
 
 def _shifted_row_blocks(x: np.ndarray, k: int):
@@ -220,9 +229,9 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np
     return out
 
 
-def conv2d_backward(d_out: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of conv2d_same w.r.t. input, kernel and bias."""
-    cout, cin, k, _ = w.shape
+def _kernel_grads(d_out: np.ndarray, x: np.ndarray, k: int):
+    """Gradients of conv2d_same w.r.t. its k x k kernel and bias: (dw, db)."""
+    cout, cin = d_out.shape[0], x.shape[0]
     h, ww = x.shape[1], x.shape[2]
     wp = ww + 2 * (k // 2)
     # zeros in the junk columns keep them out of the kernel gradient
@@ -233,7 +242,12 @@ def conv2d_backward(d_out: np.ndarray, x: np.ndarray, w: np.ndarray):
     for r0, rows, block in _shifted_row_blocks(x, k):
         dw_mat += d_flat[:, r0 * wp : (r0 + rows) * wp] @ block.T
     dw = np.ascontiguousarray(dw_mat.reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
-    db = d_out.sum(axis=(1, 2))
+    return dw, d_out.sum(axis=(1, 2))
+
+
+def conv2d_backward(d_out: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients of conv2d_same w.r.t. input, kernel and bias."""
+    dw, db = _kernel_grads(d_out, x, w.shape[2])
     w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     dx = conv2d_same(d_out, w_flip)
     return dx, dw, db
@@ -274,12 +288,28 @@ def upsample_nearest_backward(d_out: np.ndarray, factor: int) -> np.ndarray:
 # Full network
 
 
+def _halo(cfg: NetworkConfig) -> int:
+    """Rows beyond a band's interior that its edge's zero padding corrupts.
+
+    With r = kernel_size // 2 and d = size_divisor: the input conv corrupts r
+    rows, which the deepest path pools into ceil(r / d) rows at scale d; its
+    2 * blocks_per_path convs add r rows each there, the upsample scales them
+    by d and the final conv adds r. Shallower paths corrupt fewer rows. Rounded
+    up to d, so a band pools on the whole image's tiles.
+    """
+    r = cfg.kernel_size // 2
+    d = cfg.size_divisor
+    rows = (-(-r // d) + 2 * cfg.blocks_per_path * r) * d + r
+    return -(-rows // d) * d
+
+
 def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
     """The network pass behind ``forward`` and ``backward``: (output, caches).
 
     ReLU and the residual add run in place, so every kept activation is
     post-ReLU and ``backward`` reads each gate from it (relu(s) > 0 iff s > 0).
-    The pass computes in float32 when img is float32 and in float64 otherwise.
+    img is a float32 or float64 array and the pass computes in its dtype; the
+    callers cast it and check its shape.
     Unless ``record`` is set, caches is None and each activation is dropped as
     soon as the next layer has consumed it. With ``record``, caches holds the
     input "x0", the final conv's input "concat" and, per path, the input conv's
@@ -287,12 +317,9 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
     block "x_in", "r1" (the inner ReLU) and "out" (the next block's "x_in").
     """
     cfg = weights.config
-    cfg.check_input_shape(img.shape)
     t = weights.tensors
     f = cfg.filters
-    img = np.asarray(img)
-    dtype = np.float32 if img.dtype == np.float32 else np.float64
-    x0 = img.astype(dtype, copy=False)[np.newaxis]  # (1, H, W)
+    x0 = img[np.newaxis]  # (1, H, W)
     caches = {"x0": x0, "paths": []} if record else None
 
     # allocated after the first path, so it is not live during that path's
@@ -326,7 +353,7 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
             del x_in, r1
 
         if concat is None:
-            concat = np.empty((cfg.paths * f,) + x0.shape[1:], dtype=dtype)
+            concat = np.empty((cfg.paths * f,) + x0.shape[1:], dtype=img.dtype)
         # nearest-neighbour upsampling, broadcast straight into the path's slice
         up = concat[(p - 1) * f : p * f].reshape(f, h.shape[1], 2 ** (p - 1), h.shape[2], -1)
         up[...] = h[:, :, np.newaxis, :, np.newaxis]
@@ -340,8 +367,30 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
 
 def forward(weights: ModelWeights, img: np.ndarray) -> OrientationEncoding:
     """Deterministic forward pass, in float32 for float32 input and in float64
-    for any other; output channels match the input size."""
-    out, _ = _forward(weights, img)
+    for any other; output channels match the input size.
+
+    Runs ``_forward`` over row bands of about ``_BAND_BYTES`` of activation,
+    each widened by ``_halo`` rows on either side, and writes each band's
+    interior rows into one output. Band starts and halos are multiples of
+    size_divisor. A frame that fits one band runs in a single pass.
+    """
+    cfg = weights.config
+    img = np.asarray(img)
+    cfg.check_input_shape(img.shape)
+    x = img.astype(np.float32 if img.dtype == np.float32 else np.float64, copy=False)
+    rows, cols = x.shape
+    d = cfg.size_divisor
+    step = max(d, _BAND_BYTES // (cfg.filters * cols * x.itemsize) // d * d)
+    if step >= rows:
+        out, _ = _forward(weights, x)
+    else:
+        halo = _halo(cfg)
+        out = np.empty((2, rows, cols), dtype=x.dtype)
+        for s0 in range(0, rows, step):
+            s1 = min(rows, s0 + step)
+            lo = max(0, s0 - halo)
+            band, _ = _forward(weights, x[lo : min(rows, s1 + halo)])
+            out[:, s0:s1] = band[:, s0 - lo : s1 - lo]
     return OrientationEncoding(sin2=out[0], cos2=out[1])
 
 
@@ -354,7 +403,9 @@ def backward(weights: ModelWeights, img: np.ndarray,
     """
     cfg = weights.config
     t = weights.tensors
-    out, caches = _forward(weights, np.asarray(img, dtype=np.float64), record=True)
+    img = np.asarray(img, dtype=np.float64)
+    cfg.check_input_shape(img.shape)
+    out, caches = _forward(weights, img, record=True)
     target_arr = target.to_array()
     if target_arr.shape != out.shape:
         raise ValueError(f"target shape {target_arr.shape} != output {out.shape}")
@@ -398,9 +449,9 @@ def backward(weights: ModelWeights, img: np.ndarray,
             d_path = _maxpool_backward(d_path, x, pooled)
 
         d_pre = d_path * (cache["in"] > 0.0)
-        _, dwi, dbi = conv2d_backward(d_pre, caches["x0"], t[f"path{p}.in.w"])
-        grads[f"path{p}.in.w"] = dwi
-        grads[f"path{p}.in.b"] = dbi
+        grads[f"path{p}.in.w"], grads[f"path{p}.in.b"] = _kernel_grads(
+            d_pre, caches["x0"], cfg.kernel_size
+        )
 
     grads = {name: grads[name] for name in t}  # the weights' order
     return grads, loss, OrientationEncoding(sin2=out[0], cos2=out[1])
@@ -410,7 +461,10 @@ def infer_orientation(weights: ModelWeights, img: np.ndarray) -> OrientationMap:
     """Forward in float32, then decode (sin, cos) in float64 to [0, pi); weak
     outputs are invalid."""
     enc = forward(weights, np.asarray(img, dtype=np.float32))
-    return decode_orientation(OrientationEncoding.from_array(enc.to_array()))
+    # rebound, so the float32 output is freed before the decode's temporaries
+    enc = OrientationEncoding(sin2=enc.sin2.astype(np.float64),
+                              cos2=enc.cos2.astype(np.float64))
+    return decode_orientation(enc)
 
 
 # --------------------------------------------------------------------------

@@ -371,6 +371,76 @@ class TestPrecision:
             assert grads[name].tobytes() == ref[name].tobytes()
 
 
+# (config, input shape, dtype, interior rows per band): the desk net, then
+# paths 3-5 with k=5, blocks_per_path 1 and an odd number of pooled columns.
+# Every height leaves a partial last band and needs at least four bands.
+BAND_CASES = [
+    (DESK, (104, 38), np.float64, 16),
+    (DESK, (104, 38), np.float32, 16),
+    (NetworkConfig(paths=3, filters=3, blocks_per_path=1, kernel_size=5),
+     (120, 36), np.float64, 16),
+    (NetworkConfig(paths=4, filters=2, blocks_per_path=1, kernel_size=5),
+     (152, 40), np.float64, 32),
+    (NetworkConfig(paths=5, filters=2, blocks_per_path=1, kernel_size=5),
+     (272, 48), np.float64, 32),
+]
+
+
+class TestBands:
+    """forward over row bands against one pass over the whole image."""
+
+    @staticmethod
+    def _banded(monkeypatch, cfg, img, rows):
+        """(banded output, whole-image output, bands run), bands of ``rows``."""
+        w = build_network(cfg, 7)
+        whole, _ = _forward(w, img)
+        calls = []
+        monkeypatch.setattr(network, "_forward",
+                            lambda *a: calls.append(1) or _forward(*a))
+        monkeypatch.setattr(network, "_BAND_BYTES",
+                            rows * cfg.filters * img.shape[1] * img.itemsize)
+        out = forward(w, img)
+        return np.stack([out.sin2, out.cos2]), whole, len(calls)
+
+    @pytest.mark.parametrize("cfg,shape,dtype,rows", BAND_CASES)
+    def test_bands_match_one_pass(self, monkeypatch, cfg, shape, dtype, rows):
+        img = random_input(shape, seed=shape[0]).astype(dtype)
+        got, want, bands = self._banded(monkeypatch, cfg, img, rows)
+        assert bands == -(-shape[0] // rows) >= 4
+        assert got.dtype == want.dtype == dtype
+        # a band's GEMMs can run on fewer columns, which may move the last bit
+        if not np.array_equal(got, want):
+            assert rel_err(got, want) < (1e-6 if dtype == np.float32 else 1e-13)
+            mask = [decode_orientation(OrientationEncoding(*a.astype(np.float64))).valid
+                    for a in (got, want)]
+            assert np.array_equal(*mask)
+
+    @pytest.mark.parametrize("cfg,shape,dtype,rows", BAND_CASES)
+    def test_halo_one_divisor_short_corrupts(self, monkeypatch, cfg, shape, dtype, rows):
+        halo = network._halo
+        monkeypatch.setattr(network, "_halo", lambda c: halo(c) - c.size_divisor)
+        img = random_input(shape, seed=shape[0]).astype(dtype)
+        got, want, _ = self._banded(monkeypatch, cfg, img, rows)
+        assert rel_err(got, want) > 1e-4
+
+    def test_peak_flat_in_height(self, monkeypatch):
+        # 32-row bands at 64 px wide: the peak beyond the output stays that of
+        # one band, where one pass would double it with the height
+        w = build_network(DESK, 0)
+        monkeypatch.setattr(network, "_BAND_BYTES", 32 * 16 * 64 * 8)
+        extra = []
+        for rows in (128, 256):
+            img = random_input((rows, 64))
+            tracemalloc.start()
+            try:
+                out = forward(w, img)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.sin2.base.nbytes)
+        assert extra[1] < 1.05 * extra[0]
+
+
 def tied_input(shape, dtype, seed):
     """Integers in [-2, 2], so most 2x2 tiles hold ties, with every zero
     given a random sign."""
