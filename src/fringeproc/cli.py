@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import (read_container, read_orientation, read_sidecar, write_atomic,
-                         write_container, write_json)
+from .container import (read_container, read_orientation, read_sidecar, single_channel,
+                         write_atomic, write_container, write_json)
 from .errors import FormatError, NumericalError
 from .hst import demodulate
 from .maps import OrientationEncoding, OrientationMap
@@ -101,10 +101,7 @@ def _file_sha256(path) -> str:
 
 def _read_image(path) -> np.ndarray:
     """An FPAI file that must hold a single-channel image."""
-    img = read_container(path)
-    if img.ndim != 2:
-        raise FormatError(f"{path}: expected a single-channel image, got shape {img.shape}")
-    return img
+    return single_channel(read_container(path), path)
 
 
 def _float_list(text: str) -> list[float]:

@@ -8,6 +8,13 @@ a ``.json`` suffix records the map kind, seed and generation parameters.
 ``write_atomic`` is the package's one file writer: every container, sidecar,
 weights file, run manifest and dataset manifest goes through a sibling temp
 file and a rename, so an interrupted run never leaves a truncated file behind.
+
+``read_tagged``, ``decode_samples`` and ``parse_json_object`` are the package's
+one read path: FPAI and FPAW files share the length, magic and version check
+and the float32 decode, which rejects non-finite samples on the float32 view
+before the cast, and every sidecar, FPAW header and dataset manifest parses as
+one JSON object. Every malformed file raises a ``FormatError`` subclass, which
+the CLI maps to exit 3.
 """
 
 from __future__ import annotations
@@ -81,55 +88,67 @@ def write_sidecar(path, meta: dict) -> None:
     write_json(sidecar_path(path), meta)
 
 
-def read_sidecar(path) -> dict | None:
-    """The sidecar's JSON object, None if there is no sidecar.
+def read_tagged(path, header: struct.Struct, magic: bytes, version: int):
+    """The file's bytes and the header fields after its magic and version."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < header.size:
+        raise TruncatedPayloadError(f"{path}: file shorter than the {magic.decode()} header")
+    found, found_version, *rest = header.unpack_from(raw)
+    if found != magic:
+        raise BadMagicError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    if found_version != version:
+        raise VersionMismatchError(f"{path}: version {found_version}, expected {version}")
+    return raw, rest
 
-    Raises FormatError for bytes that are not UTF-8 JSON, nesting too deep to
-    parse, or JSON that is not an object.
+
+def decode_samples(raw: bytes, offset: int, count: int, path) -> np.ndarray:
+    """The count float32 samples that fill raw from offset on, as float64.
+
+    Finiteness is checked on the float32 view, so no NaN reaches the cast.
     """
-    sc = sidecar_path(path)
-    if not sc.exists():
-        return None
+    size = len(raw) - offset
+    if size != 4 * count:
+        raise TruncatedPayloadError(f"{path}: payload is {size} bytes, expected {4 * count}")
+    samples = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+    if not np.isfinite(samples).all():
+        raise NonFiniteSampleError(f"{path}: non-finite samples")
+    return samples.astype(np.float64)
+
+
+def parse_json_object(blob: bytes, where, error: type[FormatError] = FormatError) -> dict:
+    """A UTF-8 JSON object; anything else raises ``error``."""
     try:
-        meta = json.loads(sc.read_bytes().decode("utf-8"))
+        obj = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-        raise FormatError(f"{sc}: unreadable JSON sidecar ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{sc}: JSON sidecar is not an object")
-    return meta
+        raise error(f"{where}: unreadable JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{where}: JSON is not an object")
+    return obj
+
+
+def read_sidecar(path) -> dict | None:
+    """The sidecar's JSON object, None if there is no sidecar."""
+    sc = sidecar_path(path)
+    return parse_json_object(sc.read_bytes(), sc) if sc.exists() else None
 
 
 def read_container(path) -> np.ndarray:
-    """Read an FPAI file; returns a 2D array for one channel, else (C, rows, cols).
-
-    Each failure mode raises its own error type: bad magic, version mismatch,
-    truncated payload, non-finite sample.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than the FPAI header")
-    magic, version, rows, cols, channels, _reserved = HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
-    expected = HEADER.size + 4 * rows * cols * channels
-    if len(raw) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload is {len(raw) - HEADER.size} bytes, "
-            f"expected {expected - HEADER.size}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=HEADER.size)
-    arr = data.reshape(channels, rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteSampleError(f"{path}: container holds non-finite samples")
+    """Read an FPAI file; returns a 2D array for one channel, else (C, rows, cols)."""
+    raw, (rows, cols, channels, _reserved) = read_tagged(path, HEADER, MAGIC, VERSION)
+    arr = decode_samples(raw, HEADER.size, channels * rows * cols, path)
+    arr = arr.reshape(channels, rows, cols)
     return arr[0] if channels == 1 else arr
+
+
+def single_channel(arr: np.ndarray, path, what: str = "image") -> np.ndarray:
+    """arr if it holds one 2D channel, else FormatError."""
+    if arr.ndim != 2:
+        raise FormatError(f"{path}: expected a single-channel {what}, got shape {arr.shape}")
+    return arr
 
 
 def read_orientation(path) -> OrientationMap:
     """Read a single-channel orientation file; every pixel is valid (FPAI has no mask)."""
-    angles = read_container(path)
-    if angles.ndim != 2:
-        raise FormatError(f"{path}: expected a single-channel orientation map")
+    angles = single_channel(read_container(path), path, "orientation map")
     return OrientationMap(angles=angles, valid=np.ones_like(angles, dtype=bool))

@@ -37,15 +37,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .container import write_atomic
-from .errors import (
-    BadMagicError,
-    HeaderError,
-    NonFiniteSampleError,
-    ShapeAuditError,
-    TruncatedPayloadError,
-    VersionMismatchError,
-)
+from .container import decode_samples, parse_json_object, read_tagged, write_atomic
+from .errors import HeaderError, NonFiniteSampleError, ShapeAuditError, TruncatedPayloadError
 from .maps import OrientationEncoding, OrientationMap, decode_orientation
 
 WEIGHTS_MAGIC = b"FPAW"
@@ -489,12 +482,7 @@ def save_weights(weights: ModelWeights, path) -> None:
 
 def _parse_header(blob: bytes, path) -> tuple[NetworkConfig, list[tuple]]:
     """Decode the FPAW JSON header into its config and (name, shape) table."""
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-        raise HeaderError(f"{path}: unreadable JSON header ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise HeaderError(f"{path}: JSON header is not an object")
+    meta = parse_json_object(blob, f"{path} header", HeaderError)
     cfg_json, table = meta.get("config"), meta.get("tensors")
     if not isinstance(cfg_json, dict) or not isinstance(table, list):
         raise HeaderError(f"{path}: header needs a 'config' object and a 'tensors' list")
@@ -513,36 +501,17 @@ def _parse_header(blob: bytes, path) -> tuple[NetworkConfig, list[tuple]]:
 
 
 def load_weights(path) -> ModelWeights:
-    """Read FPAW and re-audit tensor shapes against the embedded config."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _WHEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than the FPAW header")
-    magic, version, json_len = _WHEADER.unpack_from(raw)
-    if magic != WEIGHTS_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}")
-    if version != WEIGHTS_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {WEIGHTS_VERSION}")
-    if len(raw) < _WHEADER.size + json_len:
+    """Read FPAW and check its tensor table against the embedded config."""
+    raw, (json_len,) = read_tagged(path, _WHEADER, WEIGHTS_MAGIC, WEIGHTS_VERSION)
+    offset = _WHEADER.size + json_len
+    if len(raw) < offset:
         raise TruncatedPayloadError(f"{path}: truncated JSON header")
-    cfg, stored = _parse_header(raw[_WHEADER.size : _WHEADER.size + json_len], path)
-
+    cfg, stored = _parse_header(raw[_WHEADER.size : offset], path)
     expected = tensor_specs(cfg)
     if stored != expected:
         raise ShapeAuditError(f"{path}: tensor table disagrees with the config")
 
-    offset = _WHEADER.size + json_len
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in expected:
-        count = math.prod(shape)
-        end = offset + 4 * count
-        if end > len(raw):
-            raise TruncatedPayloadError(f"{path}: tensor {name} truncated")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
-        offset = end
-    if offset != len(raw):
-        raise TruncatedPayloadError(f"{path}: {len(raw) - offset} trailing bytes")
-    model = ModelWeights(config=cfg, tensors=tensors)
-    model.audit()
-    return model
+    counts = [math.prod(shape) for _, shape in expected]
+    parts = np.split(decode_samples(raw, offset, sum(counts), path), np.cumsum(counts)[:-1])
+    return ModelWeights(config=cfg, tensors={
+        name: part.reshape(shape) for (name, shape), part in zip(expected, parts)})

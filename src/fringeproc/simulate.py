@@ -10,12 +10,12 @@ manifest base seed through SplitMix64.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .container import write_atomic, write_container
+from .container import parse_json_object, write_atomic, write_container
 from .errors import FormatError
 from .image import as_real_image, gaussian_blur, gradients
 from .maps import OrientationMap, encode_orientation, orientation_from_gradients
@@ -253,21 +253,8 @@ class DatasetManifest:
             ]
 
     def to_json(self) -> dict:
-        return {
-            "format": "fringeproc-dataset",
-            "version": 1,
-            "base_seed": self.base_seed,
-            "count": self.count,
-            "rows": self.rows,
-            "cols": self.cols,
-            "kernel_count_range": list(self.kernel_count_range),
-            "sigma_range": list(self.sigma_range) if self.sigma_range else None,
-            "amplitude_range": list(self.amplitude_range),
-            "period_range": list(self.period_range),
-            "theta_range": list(self.theta_range),
-            "noise_std": self.noise_std,
-            "items": self.items,
-        }
+        return {"format": "fringeproc-dataset", "version": 1,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
     def from_json(cls, data) -> "DatasetManifest":
@@ -285,20 +272,13 @@ class DatasetManifest:
                 and all(isinstance(item.get(k), str) for k in ("fringe", "encoding", "fo"))
                 for item in items):
             raise FormatError("manifest items need 'fringe', 'encoding' and 'fo' file names")
+
+        def value(f):  # JSON arrays back to the tuples they were written from
+            v = data[f.name]
+            return tuple(v) if "tuple" in f.type and v is not None else v
+
         try:
-            return cls(
-                base_seed=data["base_seed"],
-                count=data["count"],
-                rows=data["rows"],
-                cols=data["cols"],
-                kernel_count_range=tuple(data["kernel_count_range"]),
-                sigma_range=tuple(data["sigma_range"]) if data["sigma_range"] else None,
-                amplitude_range=tuple(data["amplitude_range"]),
-                period_range=tuple(data["period_range"]),
-                theta_range=tuple(data["theta_range"]),
-                noise_std=data["noise_std"],
-                items=items,
-            )
+            return cls(**{f.name: value(f) for f in fields(cls)})
         except KeyError as exc:
             raise FormatError(f"manifest lacks {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -354,9 +334,8 @@ def make_dataset(manifest: DatasetManifest, out_dir) -> Path:
 
 def load_manifest(path) -> DatasetManifest:
     """Read a dataset manifest; FormatError for anything that is not one."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    data = parse_json_object(Path(path).read_bytes(), path)
     try:
-        return DatasetManifest.from_json(json.loads(raw.decode("utf-8")))
-    except (ValueError, RecursionError, FormatError) as exc:  # bad UTF-8 or JSON, deep nesting
+        return DatasetManifest.from_json(data)
+    except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, read_orientation
+from .container import read_container, read_orientation, single_channel
 from .maps import OrientationEncoding, OrientationMap, decode_orientation
 from .metrics import orientation_error
 from .network import (  # noqa: F401  infer_orientation: perfbench/spans.py traces it here
@@ -113,7 +113,8 @@ def load_samples(dataset_dir) -> list[Sample]:
     manifest = load_manifest(dataset_dir / "manifest.json")
     samples = []
     for item in manifest.items:
-        fringe = read_container(dataset_dir / item["fringe"])
+        fringe_path = dataset_dir / item["fringe"]
+        fringe = single_channel(read_container(fringe_path), fringe_path)
         enc = OrientationEncoding.from_array(read_container(dataset_dir / item["encoding"]))
         fo = read_orientation(dataset_dir / item["fo"])
         samples.append(Sample(fringe=fringe, encoding=enc, fo=fo))

@@ -68,6 +68,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr and "square" in proc.stderr
         assert not (tmp_path / "obj.fpai").exists()
 
+    @pytest.mark.parametrize("fmt", ["fpai", "fpaw"])
+    def test_signalling_nan_is_one_error_line(self, tmp_path, peaks_object, tiny_model,
+                                              fmt):
+        # float32 bits 0x7f800001: a signalling NaN as the file's last sample
+        target = peaks_object if fmt == "fpai" else tiny_model
+        target.write_bytes(target.read_bytes()[:-4] + (0x7F800001).to_bytes(4, "little"))
+        argv = (["orient-classic", "--input", str(peaks_object)] if fmt == "fpai" else
+                ["infer", "--model", str(tiny_model), "--input", str(peaks_object)])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fringeproc.cli", *argv,
+             "--out", str(tmp_path / "x.fpai")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
     def test_success_is_zero(self, tmp_path):
         img = tmp_path / "img.fpai"
         write_container(img, np.linspace(0, 3, 256).reshape(16, 16))
@@ -255,6 +272,17 @@ class TestTrainInfer:
                    "--blocks", "1", "--out", tmp_path / "m.fpaw") == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and "manifest.json" in err
+        assert not (tmp_path / "m.fpaw").exists()
+
+    @pytest.mark.parametrize("count", [1, 4], ids=["first", "every"])
+    def test_multi_channel_fringe_is_format_error(self, tmp_path, capsys, count):
+        ds = _dataset(tmp_path)
+        items = json.loads((ds / "manifest.json").read_text())["items"]
+        for item in items[:count]:
+            write_container(ds / item["fringe"], np.zeros((2, 16, 16)))
+        assert run("train", "--dataset", ds, "--epochs", "1", "--filters", "2",
+                   "--blocks", "1", "--out", tmp_path / "m.fpaw") == 3
+        assert "single-channel" in capsys.readouterr().err
         assert not (tmp_path / "m.fpaw").exists()
 
 
