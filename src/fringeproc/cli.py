@@ -258,8 +258,7 @@ def cmd_demodulate(args) -> int:
     beta = _read_image(args.direction)
     wrapped, unwrapped, info = demodulate(fringe, beta)
     meta = {"kind": "phase", "seed": args.seed,
-            "params": {"fringe": str(args.fringe), "direction": str(args.direction),
-                       "exclude_border": args.exclude_border}}
+            "params": {"fringe": str(args.fringe), "direction": str(args.direction)}}
     write_container(args.out_wrapped, wrapped, meta=meta)
     write_container(args.out_phase, unwrapped, meta=meta)
     for w in info["warnings"]:
@@ -550,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True)
     p.add_argument("--out-wrapped", required=True)
     p.add_argument("--out-phase", required=True)
-    p.add_argument("--exclude-border", type=int, default=16)
     p.set_defaults(func=cmd_demodulate)
 
     p = sub.add_parser("evaluate", help="compare maps with OE / RMSE metrics")

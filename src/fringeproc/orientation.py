@@ -6,6 +6,10 @@ gradient method (windowed least-squares plane fits supply the gradients).
 Raw per-pixel arctangents are unstable near fringe extrema where gradients
 vanish; averaging the doubled-angle components respects the mod-pi topology.
 
+Every window is a whole w x w block. It spans offsets [-lo, +hi] about its
+pixel and shifts inward at the border (it starts at clip(i - lo, 0, n - w)
+on each axis), so no window is clipped and border pixels get a full fit.
+
 Both estimators expect prefiltered input (approximately zero mean, unit
 amplitude); ``prefilter`` is the simplified bandpass/normalize stand-in used
 throughout this repo.
@@ -46,7 +50,8 @@ class WindowSpec:
 
     @property
     def lo(self) -> int:
-        # offsets span [-lo, +hi]; even windows lean right/down
+        # offsets span [-lo, +hi], shifted inward at the border; even
+        # windows lean right/down
         return (self.w - 1) // 2
 
     @property
@@ -126,52 +131,32 @@ def prefilter(
     return gaussian_blur(s, smooth_sigma)
 
 
-def _window_bounds(n: int, win: WindowSpec):
-    idx = np.arange(n)
-    lo = np.clip(idx - win.lo, 0, n - 1)
-    hi = np.clip(idx + win.hi, 0, n - 1)
-    return lo, hi
-
-
 def _box_sum(img: np.ndarray, win: WindowSpec) -> np.ndarray:
-    """Sum of img over the w x w window centered at each pixel, clipped at borders.
+    """Sum of img over each pixel's w x w window.
 
-    The summed-area table is laid out with lo leading zero rows/columns and
-    hi trailing copies of its last row/column, so every clipped window corner
-    is a plain slice of it, with no index gathers.
+    A window covers [i - lo, i + hi] on each axis, shifted inward at the
+    border: it starts at clip(i - lo, 0, n - w), so it always holds w x w
+    samples. The summed-area table gives the sum of every whole window, and
+    the border pixels repeat the first and last of them (edge padding).
     """
     rows, cols = img.shape
-    lo, w = win.lo, win.w
-    table = np.zeros((rows + w, cols + w))
-    inner = table[lo + 1 : lo + 1 + rows, lo + 1 : lo + 1 + cols]
-    inner[...] = np.cumsum(np.cumsum(img, axis=0), axis=1)
-    table[lo + 1 : lo + 1 + rows, lo + 1 + cols :] = inner[:, -1:]
-    table[lo + 1 + rows :] = table[lo + rows]
-    return (
-        table[w:, w:]
-        - table[:rows, w:]
-        - table[w:, :cols]
-        + table[:rows, :cols]
-    )
+    w = win.w
+    table = np.zeros((rows + 1, cols + 1))
+    table[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
+    sums = table[w:, w:] - table[:-w, w:] - table[w:, :-w] + table[:-w, :-w]
+    return np.pad(sums, ((win.lo, win.hi), (win.lo, win.hi)), mode="edge")
 
 
-def _index_window_sums(n: int, win: WindowSpec):
-    """Per-index window moments along one axis, in closed form.
+def _offset_sums(n: int, win: WindowSpec) -> np.ndarray:
+    """Sum of each index's window offsets from the index, along one axis.
 
-    Returns (count, m, d): the clipped window's sample count, the sum of its
-    offsets from the centre index, and d = count * sum(offset^2) - m^2, which
-    is count^2 times the offsets' variance: 0 for a one-sample window and at
-    least 1 otherwise. All three are exact small integers in float64.
+    The window holds the w indices from start = clip(i - lo, 0, n - w), so the
+    offsets are start - i .. start - i + w - 1 and their sum is
+    w * (start - i) + w * (w - 1) / 2: exact small numbers in float64.
     """
-    lo, hi = _window_bounds(n, win)
     idx = np.arange(n)
-    lo = (lo - idx).astype(np.float64)
-    hi = (hi - idx).astype(np.float64)
-    count = hi - lo + 1.0
-    m = 0.5 * (lo + hi) * count
-    cube = lambda v: v * (v + 1.0) * (2.0 * v + 1.0) / 6.0
-    m2 = cube(hi) - cube(lo - 1.0)
-    return count, m, count * m2 - m * m
+    start = np.clip(idx - win.lo, 0, n - win.w)
+    return win.w * (start - idx) + 0.5 * win.w * (win.w - 1)
 
 
 def _orientation_from_averaged(gx, gy, win: WindowSpec) -> OrientationMap:
@@ -181,8 +166,7 @@ def _orientation_from_averaged(gx, gy, win: WindowSpec) -> OrientationMap:
     from the x axis; after averaging, the halved angle converts to the repo's
     FO convention via FO = (pi/2 - alpha) mod pi.
     """
-    rows, cols = gx.shape
-    count = np.outer(_index_window_sums(rows, win)[0], _index_window_sums(cols, win)[0])
+    count = win.w * win.w
     c_avg = _box_sum(gx**2 - gy**2, win) / count
     s_avg = _box_sum(2.0 * gx * gy, win) / count
     valid = np.hypot(c_avg, s_avg) >= AVERAGED_MAGNITUDE_EPS
@@ -201,35 +185,33 @@ def gradient_orientation(img: np.ndarray, win: WindowSpec = WindowSpec()) -> Ori
 
 
 def plane_fit_gradients(img: np.ndarray, win: WindowSpec = WindowSpec()):
-    """Least-squares fit I ~ p0 + p1*x + p2*y over each clipped window.
+    """Least-squares fit I ~ p0 + p1*x + p2*y over each pixel's w x w window.
 
-    Returns (p1, p2) maps. The clipped window is a rectangle of rows times
-    columns, so its centred x and y offsets are uncorrelated (count * sxy =
-    sx * sy) and the 3x3 normal equations split into two 1-D slopes:
-    p1 = (n_c * tix - m_c * ti) / (n_r * d_c) with the per-column count n_c,
-    offset sum m_c and d_c from ``_index_window_sums``, and p2 likewise along
-    the rows. Only O(rows + cols) terms depend on the shape, so nothing is
-    cached. Windows whose clipped geometry makes the fit singular (a single
-    row or column remnant at a border, d_r or d_c = 0) yield (0, 0).
+    Returns (p1, p2) maps. Windows shift inward at the border (see
+    ``_box_sum``), so every fit sees w x w samples. Over a square window the
+    centred x and y offsets are uncorrelated, and the 3x3 normal equations
+    split into two 1-D slopes: p1 = (w * tix - m_c * ti) / (w * d) with the
+    per-column offset sum m_c from ``_offset_sums`` and p2 likewise along
+    the rows. d = w * sum(offset^2) - m^2 = w^2 (w^2 - 1) / 12 is the same
+    for every window and at least 1, so no fit is singular.
     """
     img = as_real_image(img, min_size=MIN_ESTIMATOR_SIZE)
     win.check_fits(img.shape)
     rows, cols = img.shape
+    w = win.w
     y = np.arange(rows, dtype=np.float64)[:, None]
     x = np.arange(cols, dtype=np.float64)[None, :]
-    n_r, m_r, d_r = _index_window_sums(rows, win)
-    n_c, m_c, d_c = _index_window_sums(cols, win)
+    m_r = _offset_sums(rows, win)[:, None]
+    m_c = _offset_sums(cols, win)
+    d = w * w * (w * w - 1) // 12
 
     # window sums of the image and of its moments about each pixel
     ti = _box_sum(img, win)
     tix = _box_sum(img * x, win) - x * ti
     tiy = _box_sum(img * y, win) - y * ti
 
-    p1 = (n_c * tix - m_c * ti) / np.outer(n_r, np.where(d_c > 0, d_c, 1.0))
-    p2 = (n_r[:, None] * tiy - m_r[:, None] * ti) / np.outer(np.where(d_r > 0, d_r, 1.0), n_c)
-    for p in (p1, p2):
-        p[d_r == 0, :] = 0.0
-        p[:, d_c == 0] = 0.0
+    p1 = (w * tix - m_c * ti) / (w * d)
+    p2 = (w * tiy - m_r * ti) / (w * d)
     return p1, p2
 
 

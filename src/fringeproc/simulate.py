@@ -9,13 +9,12 @@ manifest base seed through SplitMix64.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .container import parse_json_object, write_atomic, write_container
+from .container import parse_json_object, write_container, write_json
 from .errors import FormatError
 from .image import as_real_image, gaussian_blur, gradients
 from .maps import OrientationMap, encode_orientation, orientation_from_gradients
@@ -261,8 +260,10 @@ class DatasetManifest:
         """Rebuild a manifest from ``to_json``'s output.
 
         Raises FormatError for anything else: a value that is not a dataset
-        manifest object, a missing or malformed field, or an item without
-        'fringe', 'encoding' and 'fo' file names.
+        manifest object, a missing or malformed field, an item without
+        'fringe', 'encoding' and 'fo' file names, or an item list whose
+        length is not 'count'. The last is checked before anything is built,
+        so a manifest cannot make the loader regenerate 'count' items.
         """
         if not isinstance(data, dict) or data.get("format") != "fringeproc-dataset":
             raise FormatError("not a dataset manifest")
@@ -272,6 +273,8 @@ class DatasetManifest:
                 and all(isinstance(item.get(k), str) for k in ("fringe", "encoding", "fo"))
                 for item in items):
             raise FormatError("manifest items need 'fringe', 'encoding' and 'fo' file names")
+        if "count" in data and data["count"] != len(items):
+            raise FormatError(f"manifest lists {len(items)} items for count {data['count']!r}")
 
         def value(f):  # JSON arrays back to the tuples they were written from
             v = data[f.name]
@@ -328,7 +331,7 @@ def make_dataset(manifest: DatasetManifest, out_dir) -> Path:
         write_container(out_dir / item["fo"], fo.angles,
                         meta={"kind": "orientation", **common})
     manifest_path = out_dir / "manifest.json"
-    write_atomic(manifest_path, (json.dumps(manifest.to_json(), indent=2) + "\n").encode())
+    write_json(manifest_path, manifest.to_json())
     return manifest_path
 
 

@@ -210,6 +210,18 @@ class TestUnwrapAndDemodulate:
         wrapped = read_container(tmp_path / "w.fpai")
         assert wrapped.min() >= -np.pi and wrapped.max() < np.pi
 
+    @pytest.mark.parametrize("size", [128, 192])
+    def test_small_frame_chain_with_default_flags(self, tmp_path, size):
+        # a 2 px CPFG window covers every pixel, so the lift's default 0.99
+        # coverage holds below 200 px too
+        obj, fo, direction = (tmp_path / f"{k}.fpai" for k in ("obj", "fo", "dir"))
+        assert run("simulate", "--mode", "object", "--out", obj,
+                   "--rows", size, "--cols", size, "--seed", "5") == 0
+        assert run("orient-classic", "--input", obj, "--out", fo) == 0
+        manifest = json.loads((tmp_path / "fo.fpai.manifest.json").read_text())
+        assert manifest["valid_fraction"] == 1.0
+        assert run("unwrap-orientation", "--input", fo, "--out", direction) == 0
+
 
 class TestTrainInfer:
     def test_one_epoch_train_writes_loadable_model(self, tmp_path):
@@ -283,6 +295,20 @@ class TestTrainInfer:
         assert run("train", "--dataset", ds, "--epochs", "1", "--filters", "2",
                    "--blocks", "1", "--out", tmp_path / "m.fpaw") == 3
         assert "single-channel" in capsys.readouterr().err
+        assert not (tmp_path / "m.fpaw").exists()
+
+    def test_one_channel_encoding_names_the_file(self, tmp_path):
+        ds = _dataset(tmp_path)
+        item = json.loads((ds / "manifest.json").read_text())["items"][0]
+        write_container(ds / item["encoding"], np.zeros((16, 16)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fringeproc.cli", "train", "--dataset", str(ds),
+             "--epochs", "1", "--filters", "2", "--blocks", "1",
+             "--out", str(tmp_path / "m.fpaw")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and item["encoding"] in proc.stderr
         assert not (tmp_path / "m.fpaw").exists()
 
 

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fringeproc.errors import FormatError
 from fringeproc.maps import (
     OrientationEncoding,
     OrientationMap,
@@ -22,6 +24,7 @@ from fringeproc.simulate import (
     gen_peaks_phase,
     ground_truth_direction,
     ground_truth_orientation,
+    load_manifest,
     make_dataset,
     render_fringe,
     render_gaussian_kernels,
@@ -214,6 +217,26 @@ class TestEncoding:
 
 
 class TestDataset:
+    def test_manifest_items_must_match_count(self, tmp_path):
+        # an empty list must not make the loader regenerate 'count' items
+        path = make_dataset(DatasetManifest(base_seed=5, count=2, rows=16, cols=16),
+                            tmp_path / "ds")
+        data = json.loads(path.read_text())
+        for items, count in (([], 200_000), (data["items"][:1], 2)):
+            path.write_text(json.dumps({**data, "items": items, "count": count}))
+            with pytest.raises(FormatError, match="items for count"):
+                load_manifest(path)
+
+    def test_manifest_json_sorted_and_rerun_identical(self, tmp_path):
+        manifest = DatasetManifest(base_seed=5, count=2, rows=16, cols=16)
+        a = make_dataset(manifest, tmp_path / "a")
+        b = make_dataset(DatasetManifest(base_seed=5, count=2, rows=16, cols=16),
+                         tmp_path / "b")
+        assert a.read_bytes() == b.read_bytes()
+        data = json.loads(a.read_text())
+        assert list(data) == sorted(data)
+        assert load_manifest(a) == manifest
+
     def test_regeneration_bit_identical(self, tmp_path):
         manifest = DatasetManifest(base_seed=5, count=2, rows=16, cols=16)
         d1, d2 = tmp_path / "a", tmp_path / "b"

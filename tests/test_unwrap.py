@@ -434,12 +434,10 @@ class TestOrientationToDirection:
         assert min(same[keep].max(), flip[keep].max()) < 1e-6
 
     def test_cpfg_invalid_border_inpainted(self):
-        # CPFG with a 2 px window leaves the last row and column invalid
+        # an invalid last row and column
         truth = 2.0 * peaks_surface(128)
-        valid = orientation.cpfg_orientation(
-            render_fringe(gen_carrier((128, 128), CarrierSpec(14.0, 0.7))),
-            orientation.WindowSpec(2)).valid
-        assert not valid[-1].any() and not valid[:, -1].any() and valid[:-1, :-1].all()
+        valid = np.ones((128, 128), dtype=bool)
+        valid[-1] = valid[:, -1] = False
         fo = OrientationMap(angles=np.where(valid, np.mod(truth, np.pi), 0.0),
                             valid=valid)
         direction, _ = orientation_to_direction(fo, min_coverage=0.98)
