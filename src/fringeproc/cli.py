@@ -3,12 +3,17 @@ evaluate, benchmark, pipeline.
 
 Exit codes are a stable scripting contract: 0 success, 2 usage, 3 I/O or file
 format, 4 numerical-stage failure. Every command accepts --seed and
---json-report. Each command that writes files ends in ``_record``, which writes
-a JSON manifest next to its primary output with the fields ``tool``,
-``version``, ``command`` and ``args`` (every parsed option) plus the command's
-own results: enough to reproduce the outputs byte-identically. --json-report
-writes the same JSON to a file or, with '-', to stdout; the one-line progress
-message goes to stderr, so stdout stays valid JSON. Every file goes through
+--json-report. Each command that writes files hands them to ``_record``, the
+one writer of a command's outputs. It writes every image as FPAI with a sidecar
+holding its ``kind``, the ``seed`` and ``params`` (the command's options), then
+a JSON manifest next to the primary output with the fields ``tool``,
+``version``, ``command``, ``args`` (every parsed option, the same as the
+sidecars' ``params``), ``outputs`` (every written path), ``model_sha256`` when
+a model is read or written, and the command's own results: enough to reproduce
+the outputs byte-identically. --json-report writes the same JSON to a file or,
+with '-', to stdout; the one-line progress message goes to stderr, so stdout
+stays valid JSON. ``evaluate`` writes no file; it prints its report as one
+``key=value`` line, or as JSON through --json-report. Every file goes through
 ``container.write_atomic`` (temp file + rename), so none is left truncated.
 FRINGEPROC_THREADS caps benchmark parallelism (default 1; a value that is not
 a positive integer is a usage error).
@@ -29,11 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import (read_container, read_orientation, read_sidecar, single_channel,
-                         write_atomic, write_container, write_json)
+from .container import (read_container, read_encoding, read_orientation, read_sidecar,
+                         single_channel, write_atomic, write_container, write_json)
 from .errors import FormatError, NumericalError
 from .hst import demodulate
-from .maps import OrientationEncoding, OrientationMap
 from .metrics import EvalReport, orientation_error, rmse_channels, rmse_phase, valid_fraction
 from .network import NetworkConfig, infer_orientation, load_weights, save_weights
 from .orientation import WindowSpec, cpfg_orientation, gradient_orientation, prefilter
@@ -80,11 +84,22 @@ def _emit_report(target, payload: dict) -> None:
         write_json(target, payload)
 
 
-def _record(args, manifest_path, message: str, **fields) -> int:
-    """The tail of every file-writing command: manifest, report, progress line."""
+def _record(args, manifest_path, message: str, images=(), files=(), **fields) -> int:
+    """The one writer of a command's outputs.
+
+    Writes each ``(path, array, meta)`` image as FPAI with the sidecar
+    ``{"seed", "params", **meta}``, then the manifest listing every image and
+    every already-written path in ``files`` under ``outputs``, then the report
+    and the progress line.
+    """
     recorded = {k: v for k, v in vars(args).items() if k not in ("func", "json_report")}
+    for path, data, meta in images:
+        write_container(path, data, meta={"seed": args.seed, "params": recorded, **meta})
+    if getattr(args, "model", None):  # every command that reads a model
+        fields["model_sha256"] = _file_sha256(args.model)
     payload = {"tool": "fringeproc", "version": __version__, "command": args.command,
-               "args": recorded, **fields}
+               "args": recorded, **fields,
+               "outputs": [str(path) for path, _, _ in images] + [str(f) for f in files]}
     write_json(manifest_path, payload)
     _emit_report(args.json_report, payload)
     print(message, file=sys.stderr)  # stdout carries only a '-' report
@@ -127,7 +142,7 @@ def cmd_simulate(args) -> int:
         )
         path = make_dataset(manifest, out)
         return _record(args, out / "run_manifest.json",
-                       f"wrote {manifest.count} items to {out}", manifest=str(path))
+                       f"wrote {manifest.count} items to {out}", files=[path])
 
     # single object with full ground truth, for pipeline-style runs
     shape = (args.rows, args.cols)
@@ -138,33 +153,18 @@ def cmd_simulate(args) -> int:
     else:
         obj = gen_blob_mask_phase(shape, seed=args.seed, amplitude=args.a)
     phase = obj + gen_carrier(shape, CarrierSpec(args.period, args.theta))
-    fringe = render_fringe(phase)
-    if args.noise_std > 0:
-        fringe = add_gaussian_noise(fringe, args.noise_std, seed=splitmix64(args.seed))
-    fo = ground_truth_orientation(phase)
-    beta = ground_truth_direction(phase)
-
-    stem = out.with_suffix("")
-    gt_paths = {
-        "phase": stem.name + "_phase.fpai",
-        "fo": stem.name + "_fo.fpai",
-        "direction": stem.name + "_direction.fpai",
-    }
-    params = {
-        "object": args.object, "a": args.a, "period_T": args.period,
-        "theta": args.theta, "noise_std": args.noise_std,
-        "rows": args.rows, "cols": args.cols,
-    }
-    write_container(out, fringe, meta={"kind": "fringe", "seed": args.seed,
-                                       "params": params, "ground_truth": gt_paths})
-    write_container(out.with_name(gt_paths["phase"]), phase,
-                    meta={"kind": "phase", "seed": args.seed, "params": params})
-    write_container(out.with_name(gt_paths["fo"]), fo.angles,
-                    meta={"kind": "orientation", "seed": args.seed, "params": params})
-    write_container(out.with_name(gt_paths["direction"]), beta,
-                    meta={"kind": "direction", "seed": args.seed, "params": params})
+    fringe = add_gaussian_noise(render_fringe(phase), args.noise_std,
+                                seed=splitmix64(args.seed))
+    truth = [("phase", phase, "phase"),
+             ("fo", ground_truth_orientation(phase).angles, "orientation"),
+             ("direction", ground_truth_direction(phase), "direction")]
+    stem = out.with_suffix("").name
+    gt_paths = {key: f"{stem}_{key}.fpai" for key, _, _ in truth}
+    images = [(out, fringe, {"kind": "fringe", "ground_truth": gt_paths})]
+    images += [(out.with_name(gt_paths[key]), data, {"kind": kind})
+               for key, data, kind in truth]
     return _record(args, str(out) + ".manifest.json", f"wrote {out} (+ ground truth)",
-                   outputs=[str(out)] + [str(out.with_name(p)) for p in gt_paths.values()])
+                   images)
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def cmd_train(args) -> int:
     return _record(
         args, str(args.out) + ".manifest.json",
         f"trained {args.epochs} epochs; best epoch {result.best_epoch}; model -> {args.out}",
-        model=str(args.out), model_sha256=_file_sha256(args.out), history=history_path,
+        files=[args.out, history_path], model_sha256=_file_sha256(args.out),
         train_items=len(trn), val_items=len(val), best_epoch=result.best_epoch,
         final_val_loss=result.history[-1]["val_loss"],
         final_val_oe=result.history[-1]["val_oe"])
@@ -204,13 +204,9 @@ def cmd_infer(args) -> int:
     if args.prefilter:
         img = prefilter(img)
     fo = infer_orientation(weights, img)
-    write_container(args.out, fo.angles, meta={
-        "kind": "orientation", "seed": args.seed,
-        "params": {"model": str(args.model), "prefilter": args.prefilter},
-    })
     return _record(args, str(args.out) + ".manifest.json", f"wrote {args.out}",
-                   model_sha256=_file_sha256(args.model),
-                   valid_fraction=float(fo.valid.mean()), output=str(args.out))
+                   [(args.out, fo.angles, {"kind": "orientation"})],
+                   valid_fraction=float(fo.valid.mean()))
 
 
 # --------------------------------------------------------------------------
@@ -225,48 +221,31 @@ def cmd_orient_classic(args) -> int:
     win = WindowSpec(args.window)
     estimator = gradient_orientation if args.method == "gradient" else cpfg_orientation
     fo = estimator(img, win)
-    if args.exclude_border > 0:
-        b = args.exclude_border
-        border = np.zeros(fo.shape, dtype=bool)
-        border[b:-b or None, b:-b or None] = True
-        fo = OrientationMap(angles=np.where(border, fo.angles, 0.0),
-                            valid=fo.valid & border)
-    write_container(args.out, fo.angles, meta={
-        "kind": "orientation", "seed": args.seed,
-        "params": {"method": args.method, "window": args.window,
-                   "exclude_border": args.exclude_border},
-    })
     return _record(args, str(args.out) + ".manifest.json", f"wrote {args.out}",
-                   valid_fraction=float(fo.valid.mean()), output=str(args.out))
+                   [(args.out, fo.angles, {"kind": "orientation"})],
+                   valid_fraction=float(fo.valid.mean()))
 
 
 def cmd_unwrap(args) -> int:
     fo = read_orientation(args.input)
     direction, anchor = orientation_to_direction(fo)
-    write_container(args.out, direction, meta={
-        "kind": "direction", "seed": args.seed,
-        "params": {"source": str(args.input)},
-    })
     return _record(args, str(args.out) + ".manifest.json",
                    f"wrote {args.out} (branch anchor at "
                    f"({anchor['row']}, {anchor['col']}) = {anchor['direction']:.4f} rad)",
-                   branch_anchor=anchor, output=str(args.out))
+                   [(args.out, direction, {"kind": "direction"})], branch_anchor=anchor)
 
 
 def cmd_demodulate(args) -> int:
     fringe = _read_image(args.fringe)
     beta = _read_image(args.direction)
     wrapped, unwrapped, info = demodulate(fringe, beta)
-    meta = {"kind": "phase", "seed": args.seed,
-            "params": {"fringe": str(args.fringe), "direction": str(args.direction)}}
-    write_container(args.out_wrapped, wrapped, meta=meta)
-    write_container(args.out_phase, unwrapped, meta=meta)
     for w in info["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     return _record(args, str(args.out_phase) + ".manifest.json",
                    f"wrote {args.out_wrapped}, {args.out_phase}",
-                   warnings=info["warnings"], defined_fraction=info["defined_fraction"],
-                   outputs=[str(args.out_wrapped), str(args.out_phase)])
+                   [(args.out_wrapped, wrapped, {"kind": "phase"}),
+                    (args.out_phase, unwrapped, {"kind": "phase"})],
+                   warnings=info["warnings"], defined_fraction=info["defined_fraction"])
 
 
 def cmd_evaluate(args) -> int:
@@ -281,10 +260,7 @@ def cmd_evaluate(args) -> int:
             valid_pixel_fraction=valid_fraction(pred, ref, border),
         )
     elif args.metric == "rmse-sin":
-        pred = read_container(args.pred)
-        ref = read_container(args.ref)
-        r_sin, r_cos = rmse_channels(OrientationEncoding.from_array(pred),
-                                     OrientationEncoding.from_array(ref))
+        r_sin, r_cos = rmse_channels(read_encoding(args.pred), read_encoding(args.ref))
         report = EvalReport(method=str(args.pred), rmse_sin=r_sin, rmse_cos=r_cos,
                             excluded_border=0)
     else:  # rmse-phase
@@ -294,10 +270,8 @@ def cmd_evaluate(args) -> int:
                             rmse_phase=rmse_phase(pred, ref, border),
                             excluded_border=border)
     payload = report.to_json()
-    if not (args.json or args.json_report == "-"):
+    if args.json_report != "-":
         print(", ".join(f"{k}={v}" for k, v in payload.items() if v is not None))
-    elif args.json_report != "-":  # --json; a '-' report is printed once, below
-        _emit_report("-", payload)
     _emit_report(args.json_report, payload)
     return 0
 
@@ -312,9 +286,7 @@ def _benchmark_case(payload):
      methods, weights, emit_dir, border) = payload
     shape = (size, size)
     phase = gen_peaks_phase(size, a) + gen_carrier(shape, CarrierSpec(period, theta))
-    fringe = render_fringe(phase)
-    if noise_std > 0:
-        fringe = add_gaussian_noise(fringe, noise_std, seed=case_seed)
+    fringe = add_gaussian_noise(render_fringe(phase), noise_std, seed=case_seed)
     gt = ground_truth_orientation(phase)
     pre = prefilter(fringe)
     rows = []
@@ -393,9 +365,9 @@ def cmd_benchmark(args) -> int:
     write_atomic(out, buf.getvalue().encode())
 
     n_rows = sum(len(r) for r in all_rows)
-    extra = {"model_sha256": _file_sha256(args.model)} if args.model else {}
     return _record(args, str(out) + ".manifest.json", f"wrote {n_rows} rows to {out}",
-                   cases=len(cases), rows=n_rows, output=str(out), **extra)
+                   files=[out] + ([args.emit_error_maps] if args.emit_error_maps else []),
+                   cases=len(cases), rows=n_rows)
 
 
 # --------------------------------------------------------------------------
@@ -425,14 +397,6 @@ def cmd_pipeline(args) -> int:
     direction, anchor = stage("unwrap-direction", lambda: orientation_to_direction(fo))
     wrapped, unwrapped, info = stage("demodulate", lambda: demodulate(pre, direction))
 
-    outputs = [(out_dir / "prefiltered.fpai", pre, "fringe"),
-               (out_dir / "fo.fpai", fo.angles, "orientation"),
-               (out_dir / "direction.fpai", direction, "direction"),
-               (out_dir / "wrapped.fpai", wrapped, "phase"),
-               (out_dir / "phase.fpai", unwrapped, "phase")]
-    for path, data, kind in outputs:
-        write_container(path, data, meta={"kind": kind})
-
     report = None
     sign_flipped = None
     if gt is not None:
@@ -460,11 +424,13 @@ def cmd_pipeline(args) -> int:
         message = (f"OE={report.orientation_error:.4f} "
                    f"rmse_phase={report.rmse_phase:.4f} rad "
                    f"(border {report.excluded_border})\n" + message)
-    return _record(args, out_dir / "run_manifest.json", message,
-                   model_sha256=_file_sha256(args.model), branch_anchor=anchor,
-                   phase_sign_flipped_vs_truth=sign_flipped, demodulation=info,
-                   report=report.to_json() if report else None,
-                   outputs=[str(path) for path, _, _ in outputs])
+    images = [(out_dir / name, data, {"kind": kind}) for name, data, kind in (
+        ("prefiltered.fpai", pre, "fringe"), ("fo.fpai", fo.angles, "orientation"),
+        ("direction.fpai", direction, "direction"), ("wrapped.fpai", wrapped, "phase"),
+        ("phase.fpai", unwrapped, "phase"))]
+    return _record(args, out_dir / "run_manifest.json", message, images,
+                   branch_anchor=anchor, phase_sign_flipped_vs_truth=sign_flipped,
+                   demodulation=info, report=report.to_json() if report else None)
 
 
 # --------------------------------------------------------------------------
@@ -529,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("gradient", "cpfg"), default="cpfg")
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--exclude-border", type=int, default=0,
-                   help="mark this border margin invalid in the output map")
     p.add_argument("--out", required=True)
     p.add_argument("--prefilter", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--background-sigma", type=float, default=None)
@@ -558,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("oe", "rmse-sin", "rmse-phase"),
                    default="oe")
     p.add_argument("--exclude-border", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="print the report as JSON")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="peaks-modulation sweep (CSV)")

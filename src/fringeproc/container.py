@@ -33,7 +33,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .maps import OrientationMap
+from .maps import OrientationEncoding, OrientationMap
 
 MAGIC = b"FPAI"
 VERSION = 1
@@ -152,3 +152,11 @@ def read_orientation(path) -> OrientationMap:
     """Read a single-channel orientation file; every pixel is valid (FPAI has no mask)."""
     angles = single_channel(read_container(path), path, "orientation map")
     return OrientationMap(angles=angles, valid=np.ones_like(angles, dtype=bool))
+
+
+def read_encoding(path) -> OrientationEncoding:
+    """Read a (2, rows, cols) sin/cos stack; anything else is a FormatError naming path."""
+    arr = read_container(path)
+    if arr.ndim != 3 or arr.shape[0] != 2:
+        raise FormatError(f"{path}: expected a (2, rows, cols) stack, got shape {arr.shape}")
+    return OrientationEncoding(sin2=arr[0], cos2=arr[1])

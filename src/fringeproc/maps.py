@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
 
 DEGENERATE_GRADIENT_EPS = 1e-9
 DECODE_MAGNITUDE_EPS = 1e-6
@@ -51,13 +50,6 @@ class OrientationEncoding:
     def to_array(self) -> np.ndarray:
         """Stack as (2, rows, cols), channel order (sin, cos)."""
         return np.stack([self.sin2, self.cos2])
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "OrientationEncoding":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] != 2:
-            raise FormatError(f"expected a (2, rows, cols) stack, got {arr.shape}")
-        return cls(sin2=arr[0], cos2=arr[1])
 
 
 def encode_orientation(fo: OrientationMap) -> OrientationEncoding:

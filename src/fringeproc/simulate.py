@@ -307,10 +307,8 @@ def simulate_item(manifest: DatasetManifest, index: int):
         sigma_range=manifest.sigma_range,
         amplitude_range=manifest.amplitude_range,
     )
-    fringe = render_fringe(phase)
-    if manifest.noise_std > 0:
-        fringe = add_gaussian_noise(fringe, manifest.noise_std,
-                                    seed=splitmix64(item_seed ^ 1))
+    fringe = add_gaussian_noise(render_fringe(phase), manifest.noise_std,
+                                seed=splitmix64(item_seed ^ 1))
     fo = ground_truth_orientation(phase)
     enc = encode_orientation(fo)
     return fringe, enc, fo, {"period_T": period, "theta": theta}

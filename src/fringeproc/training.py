@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, read_orientation, single_channel
-from .errors import FormatError
+from .container import read_container, read_encoding, read_orientation, single_channel
 from .maps import OrientationEncoding, OrientationMap, decode_orientation
 from .metrics import orientation_error
 from .network import (  # noqa: F401  infer_orientation: perfbench/spans.py traces it here
@@ -116,11 +115,7 @@ def load_samples(dataset_dir) -> list[Sample]:
     for item in manifest.items:
         fringe_path = dataset_dir / item["fringe"]
         fringe = single_channel(read_container(fringe_path), fringe_path)
-        enc_path = dataset_dir / item["encoding"]
-        try:
-            enc = OrientationEncoding.from_array(read_container(enc_path))
-        except FormatError as exc:
-            raise FormatError(f"{enc_path}: {exc}") from exc
+        enc = read_encoding(dataset_dir / item["encoding"])
         fo = read_orientation(dataset_dir / item["fo"])
         samples.append(Sample(fringe=fringe, encoding=enc, fo=fo))
     return samples

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fringeproc.cli import main
-from fringeproc.container import read_container, write_container
+from fringeproc.container import SIDECAR_KINDS, read_container, read_sidecar, write_container
 from fringeproc.network import NetworkConfig, build_network, load_weights, save_weights
 from fringeproc.simulate import DatasetManifest, make_dataset
 
@@ -84,6 +85,19 @@ class TestExitCodes:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(lambda obj, t: ["orient-classic", "--input", obj, "--out", t / "fo.fpai",
+                                     "--exclude-border", "4"],
+                     id="orient-classic-exclude-border"),
+        pytest.param(lambda obj, t: ["evaluate", "--pred", obj, "--ref", obj, "--json"],
+                     id="evaluate-json"),
+    ])
+    def test_removed_flag_is_usage_error(self, tmp_path, peaks_object, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv(peaks_object, tmp_path))
+        assert exc.value.code == 2
+        assert not (tmp_path / "fo.fpai").exists()
 
     def test_success_is_zero(self, tmp_path):
         img = tmp_path / "img.fpai"
@@ -161,15 +175,23 @@ class TestSimulate:
 class TestEvaluate:
     def test_identical_orientation_maps_zero_oe(self, peaks_object, capsys):
         fo = peaks_object.parent / "obj_fo.fpai"
-        assert run("evaluate", "--pred", fo, "--ref", fo, "--json") == 0
+        assert run("evaluate", "--pred", fo, "--ref", fo, "--json-report", "-") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["orientation_error"] == 0.0
 
     def test_rmse_phase_metric(self, peaks_object, capsys):
         phase = peaks_object.parent / "obj_phase.fpai"
         assert run("evaluate", "--pred", phase, "--ref", phase,
-                   "--metric", "rmse-phase", "--json") == 0
+                   "--metric", "rmse-phase", "--json-report", "-") == 0
         assert json.loads(capsys.readouterr().out)["rmse_phase"] == 0.0
+
+    def test_rmse_sin_names_the_file_that_is_not_an_encoding(self, peaks_object, tmp_path,
+                                                             capsys):
+        enc = tmp_path / "enc.fpai"
+        write_container(enc, np.zeros((2, 32, 32)))
+        assert run("evaluate", "--metric", "rmse-sin", "--pred", enc,
+                   "--ref", peaks_object) == 3
+        assert f"error: {peaks_object}: expected a (2, rows, cols)" in capsys.readouterr().err
 
 
 class TestOrientClassic:
@@ -180,18 +202,11 @@ class TestOrientClassic:
         capsys.readouterr()  # drop orient-classic's output before parsing JSON
         assert run("evaluate", "--pred", fo_out,
                    "--ref", peaks_object.parent / "obj_fo.fpai",
-                   "--exclude-border", "8", "--json") == 0
+                   "--exclude-border", "8", "--json-report", "-") == 0
         payload = json.loads(capsys.readouterr().out)
         # plumbing check: the 32x32 a=0.5 object is hard for w=2 CPFG, the
         # chain just has to produce a finite, plausible error
         assert 0.0 <= payload["orientation_error"] < 0.5
-
-    def test_border_exclusion_recorded(self, peaks_object, tmp_path):
-        fo_out = tmp_path / "fo.fpai"
-        assert run("orient-classic", "--input", peaks_object, "--exclude-border", "4",
-                   "--out", fo_out) == 0
-        manifest = json.loads((tmp_path / "fo.fpai.manifest.json").read_text())
-        assert manifest["valid_fraction"] < 1.0
 
 
 class TestUnwrapAndDemodulate:
@@ -472,8 +487,9 @@ RECORDED = {
          "--out-wrapped", t / "w.fpai", "--out-phase", t / "p.fpai"],
         t / "p.fpai.manifest.json"),
     "benchmark": lambda t, obj, model: (
-        ["benchmark", "--a-values", "1", "--noise-std", "0", "--methods", "cpfg",
-         "--reps", "1", "--size", "32", "--out", t / "r.csv"], t / "r.csv.manifest.json"),
+        ["benchmark", "--a-values", "1", "--noise-std", "0", "--methods", "cpfg,deeporient",
+         "--model", model, "--reps", "1", "--size", "32", "--emit-error-maps", t / "maps",
+         "--out", t / "r.csv"], t / "r.csv.manifest.json"),
     "pipeline": lambda t, obj, model: (
         ["pipeline", "--fringe", obj, "--model", model, "--out-dir", t / "run",
          "--exclude-border", "8"],
@@ -481,10 +497,29 @@ RECORDED = {
 }
 
 
+def _accounted_for(listed):
+    """The files a manifest's outputs account for: each listed file, a listed
+    image's sidecar, everything in a listed directory, and the items of a
+    listed dataset manifest with their sidecars."""
+    for path in listed:
+        if path.is_dir():
+            yield from path.rglob("*")
+            continue
+        yield path
+        if path.suffix == ".fpai":
+            yield path.with_suffix(".json")
+        elif path.name == "manifest.json":
+            for item in json.loads(path.read_text())["items"]:
+                for key in ("fringe", "encoding", "fo"):
+                    yield path.parent / item[key]
+                    yield (path.parent / item[key]).with_suffix(".json")
+
+
 @pytest.mark.parametrize("case", RECORDED)
 def test_every_command_records_one_manifest(case, tmp_path, peaks_object, tiny_model,
                                             capsys):
     argv, manifest_path = RECORDED[case](tmp_path, peaks_object, tiny_model)
+    before = set(tmp_path.rglob("*"))
     capsys.readouterr()
     assert run(*argv, "--seed", "3", "--json-report", "-") == 0
     text = manifest_path.read_text()
@@ -498,3 +533,18 @@ def test_every_command_records_one_manifest(case, tmp_path, peaks_object, tiny_m
     assert out == text
     assert json.loads(out) == manifest
     assert not list(tmp_path.rglob("*.tmp"))
+    # outputs lists every written file, and every listed image has a sidecar
+    # with its kind, the run's seed and the run's options
+    listed = [Path(p) for p in manifest["outputs"]]
+    assert listed and all(p.exists() for p in listed)
+    written = {p for p in tmp_path.rglob("*") if p not in before and p.is_file()}
+    assert written - {manifest_path} <= set(_accounted_for(listed))
+    for path in (p for p in listed if p.suffix == ".fpai"):
+        sidecar = read_sidecar(path)
+        assert sidecar["kind"] in SIDECAR_KINDS
+        assert sidecar["seed"] == 3 and sidecar["params"] == manifest["args"]
+    # a command that reads a model (or, for train, writes one) records its hash
+    model = next((argv[i + 1] for i, a in enumerate(argv) if a == "--model"),
+                 argv[argv.index("--out") + 1] if argv[0] == "train" else None)
+    if model is not None:
+        assert manifest["model_sha256"] == hashlib.sha256(Path(model).read_bytes()).hexdigest()

@@ -7,6 +7,7 @@ from fringeproc.container import (
     HEADER,
     MAGIC,
     read_container,
+    read_encoding,
     read_orientation,
     read_sidecar,
     write_atomic,
@@ -127,6 +128,18 @@ def test_read_orientation_single_channel_all_valid(tmp_path):
     write_container(path, np.zeros((2, 8, 8)))
     with pytest.raises(FormatError, match="single-channel"):
         read_orientation(path)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
+def test_read_encoding_requires_two_channels(tmp_path, shape):
+    path = tmp_path / "enc.fpai"
+    stack = random_f32((2, 8, 8))
+    write_container(path, stack)
+    enc = read_encoding(path)
+    assert np.array_equal(enc.to_array(), stack)
+    write_container(path, np.zeros(shape))
+    with pytest.raises(FormatError, match=r"enc\.fpai: expected a \(2, rows, cols\) stack"):
+        read_encoding(path)
 
 
 def test_write_json_layout(tmp_path):
