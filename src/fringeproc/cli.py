@@ -126,6 +126,21 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
+def _noise_std(text: str) -> float:
+    """A noise standard deviation: a float that is not negative (nor NaN)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad float {text!r}") from exc
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"noise std must be non-negative, got {text!r}")
+    return value
+
+
+def _noise_std_list(text: str) -> list[float]:
+    return [_noise_std(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
 # --------------------------------------------------------------------------
 # simulate
 
@@ -459,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--rows", type=int, default=64)
     p.add_argument("--cols", type=int, default=64)
-    p.add_argument("--noise-std", type=float, default=0.0)
+    p.add_argument("--noise-std", type=_noise_std, default=0.0)
     p.add_argument("--object", choices=("peaks", "blob"), default="peaks")
     p.add_argument("--a", type=float, default=1.0,
                    help="object amplitude (peaks coefficient / blob radians)")
@@ -528,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a-values", type=_float_list,
                    default=[float(v) for v in range(11)])
-    p.add_argument("--noise-std", type=_float_list, default=[0.0, 0.1])
+    p.add_argument("--noise-std", type=_noise_std_list, default=[0.0, 0.1])
     p.add_argument("--methods", default="gradient,cpfg")
     p.add_argument("--model", help="FPAW weights (required for deeporient)")
     p.add_argument("--reps", type=int, default=5)

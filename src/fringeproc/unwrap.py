@@ -28,7 +28,6 @@ ambiguous.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NumericalError
 from .image import as_real_image
@@ -234,13 +233,57 @@ def unwrap_phase_2d(wrapped: np.ndarray) -> np.ndarray:
     return _spanning_tree_unwrap(wrapped)[0]
 
 
+def _nearest_valid(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) index maps of each pixel's nearest valid pixel.
+
+    Nearest is by Euclidean distance, ties to the lowest column, then to the
+    lowest row: the indices ndimage.distance_transform_edt(~valid,
+    return_indices=True) returns. Valid pixels map to themselves. Each column
+    first finds its nearest valid row for every row (ties go up); an invalid
+    pixel then scans columns d = 1, 2, ... away while d^2 is at most its best
+    squared distance. Raises NumericalError when no pixel is valid.
+    """
+    if not valid.any():
+        raise NumericalError("orientation map has no valid pixel to inpaint from")
+    rows, cols = valid.shape
+    far = 2 * (rows + cols)  # a row distance beyond any pixel of the map
+    row = np.arange(rows)[:, None]
+    above = np.maximum.accumulate(np.where(valid, row, -far), axis=0)
+    below = np.minimum.accumulate(np.where(valid, row, far)[::-1], axis=0)[::-1]
+    up, down = row - above, below - row
+    take_up = up <= down
+    near = np.where(take_up, above, below)
+    near_d2 = np.where(take_up, up, down) ** 2
+
+    ir, ic = np.nonzero(~valid)
+    best, src = near_d2[ir, ic], ic.copy()
+    todo = np.arange(ir.size)
+    for d in range(1, cols):
+        todo = todo[d * d <= best[todo]]
+        if not todo.size:
+            break
+        # the right column first, so that the left one wins a tie
+        for col, wins in ((ic[todo] + d, np.less), (ic[todo] - d, np.less_equal)):
+            inside = (col >= 0) & (col < cols)
+            pix, col = todo[inside], col[inside]
+            d2 = near_d2[ir[pix], col] + d * d
+            better = wins(d2, best[pix])
+            best[pix[better]] = d2[better]
+            src[pix[better]] = col[better]
+    index_r, index_c = np.indices(valid.shape)
+    index_r[ir, ic] = near[ir, src]
+    index_c[ir, ic] = src
+    return index_r, index_c
+
+
 def orientation_to_direction(fo: OrientationMap, min_coverage: float = 0.99):
     """Lift a mod-pi orientation map to a mod-2*pi direction map.
 
     D = unwrap(2*FO)/2 reduced mod 2*pi. Invalid pixels are inpainted from
-    their nearest valid neighbor first; coverage below ``min_coverage``
-    fails loudly. Returns (direction, anchor) where ``anchor`` records the
-    (row, col, angle) fixing which of the two global pi branches came out.
+    their nearest valid pixel first (``_nearest_valid``); coverage below
+    ``min_coverage``, or no valid pixel at all, fails loudly. Returns
+    (direction, anchor) where ``anchor`` records the (row, col, angle) fixing
+    which of the two global pi branches came out.
     """
     coverage = float(fo.valid.mean())
     if coverage < min_coverage:
@@ -249,10 +292,7 @@ def orientation_to_direction(fo: OrientationMap, min_coverage: float = 0.99):
         )
     angles = fo.angles
     if not fo.valid.all():
-        ir, ic = ndimage.distance_transform_edt(
-            ~fo.valid, return_distances=False, return_indices=True
-        )
-        angles = angles[ir, ic]
+        angles = angles[_nearest_valid(fo.valid)]
     unwrapped, anchor = _spanning_tree_unwrap(2.0 * angles)
     direction = np.mod(unwrapped / 2.0, TAU)
     return direction, {

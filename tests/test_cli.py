@@ -99,6 +99,22 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not (tmp_path / "fo.fpai").exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--mode", "object", "--rows", "16", "--cols", "16",
+                      "--noise-std", "-0.1"], id="simulate-object"),
+        pytest.param(["simulate", "--mode", "dataset", "--count", "2", "--rows", "16",
+                      "--cols", "16", "--noise-std", "-0.1"], id="simulate-dataset"),
+        pytest.param(["benchmark", "--a-values", "1", "--reps", "1", "--size", "32",
+                      "--noise-std", "0,-0.1"], id="benchmark"),
+    ])
+    def test_negative_noise_std_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", out)
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success_is_zero(self, tmp_path):
         img = tmp_path / "img.fpai"
         write_container(img, np.linspace(0, 3, 256).reshape(16, 16))

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fringeproc.image import (
     as_real_image,
@@ -146,6 +148,21 @@ class TestGaussianBlur:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             gaussian_blur(np.zeros((8, 8)), 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 64), cols=st.integers(1, 64),
+           sigma=st.floats(0.5, 30.0), scale=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_ndimage_correlate1d(self, rows, cols, sigma, scale, seed):
+        # the byte contract: rows, then columns, each exactly as correlate1d
+        # sums a symmetric kernel with mode "nearest"; sigma 30 gives 241
+        # taps, wider than any drawn side
+        ndimage = pytest.importorskip("scipy.ndimage")
+        img = np.random.default_rng(seed).uniform(-scale, scale, (rows, cols))
+        kernel = gaussian_kernel(sigma)
+        want = ndimage.correlate1d(img, kernel, axis=0, mode="nearest")
+        want = ndimage.correlate1d(want, kernel, axis=1, mode="nearest")
+        assert np.array_equal(gaussian_blur(img, sigma), want)
 
 
 def matrix_blur(img, sigma):

@@ -25,6 +25,7 @@ from fringeproc.simulate import (
 )
 from fringeproc.unwrap import (
     _heaviest_edges,
+    _nearest_valid,
     orientation_to_direction,
     reliability_map,
     unwrap_phase_2d,
@@ -318,13 +319,63 @@ class TestInputValidation:
         np.testing.assert_allclose(out.ravel(), np.unwrap(wrapped.ravel()), atol=1e-12)
 
 
+SRC = os.path.dirname(os.path.dirname(fringeproc.__file__))
+
+
 def test_import_leaves_scipy_sparse_out():
-    src = os.path.dirname(os.path.dirname(fringeproc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, fringeproc; print('scipy.sparse' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    # no scipy module at all, scipy.sparse included, after the package and CLI
+    code = ("import sys, fringeproc, fringeproc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+SCIPY_BLOCKED = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+
+import numpy as np
+from fringeproc import cli
+from fringeproc.container import read_container
+from fringeproc.hst import demodulate
+from fringeproc.maps import OrientationMap
+from fringeproc.orientation import WindowSpec, cpfg_orientation, prefilter
+from fringeproc.unwrap import orientation_to_direction
+
+out = sys.argv[1]
+# a blob object renders through the sigma-3 gaussian_blur
+assert cli.main(["simulate", "--mode", "object", "--object", "blob", "--rows", "64",
+                 "--cols", "64", "--out", out]) == 0
+fringe = read_container(out)
+fo = cpfg_orientation(prefilter(fringe), WindowSpec(2))
+valid = fo.valid.copy()
+valid[20:24, 30:33] = valid[-1] = False
+direction, _ = orientation_to_direction(OrientationMap(fo.angles, valid), min_coverage=0.9)
+demodulate(prefilter(fringe), direction)
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+print("ok")
+"""
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # every stage that once called scipy.ndimage: the blob blur, prefilter's
+    # sigma-0.5 blur, the inpainting of invalid pixels; plus CPFG, HST and --help
+    result = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path / "blob.fpai")],
+                            env=dict(os.environ, PYTHONPATH=SRC),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
 
 
 class TestReliability:
@@ -452,6 +503,12 @@ class TestOrientationToDirection:
             circular_direction_error(direction[:-1, -1], direction[:-1, -2]), 0.0, atol=1e-12)
         assert circular_direction_error(direction[-1, -1], direction[-2, -2]) < 1e-12
 
+    def test_no_valid_pixel_fails(self):
+        # with the coverage check off, an all-invalid map has nothing to lift
+        fo = OrientationMap(angles=np.full((8, 8), 0.3), valid=np.zeros((8, 8), dtype=bool))
+        with pytest.raises(NumericalError, match="no valid pixel"):
+            orientation_to_direction(fo, min_coverage=0.0)
+
     def test_low_coverage_fails_with_number(self):
         valid = np.zeros((32, 32), dtype=bool)
         valid[:16] = True
@@ -490,3 +547,44 @@ def test_classic_chain_call_counts(monkeypatch):
     assert calls == {"fringeproc.unwrap.reliability_map": 2,
                      "fringeproc.unwrap.unwrap_phase_2d": 0,
                      "fringeproc.hst.unwrap_phase_2d": 1}
+
+
+def oracle_masks():
+    """Validity masks with at least one valid pixel: random, holes, an invalid
+    border, tie-heavy lattices and a single valid pixel."""
+    rng = np.random.default_rng(21)
+    masks = []
+    for _ in range(40):
+        masks.append(rng.random(tuple(rng.integers(1, 48, 2))) < rng.uniform(0.02, 0.98))
+    for _ in range(30):
+        mask = np.ones(tuple(rng.integers(8, 64, 2)), dtype=bool)
+        for _ in range(rng.integers(1, 4)):
+            r0, c0 = rng.integers(0, mask.shape[0]), rng.integers(0, mask.shape[1])
+            h, w = rng.integers(1, 24, 2)
+            mask[r0 : r0 + h, c0 : c0 + w] = False
+        masks.append(mask)
+    for _ in range(30):
+        mask = rng.random(tuple(rng.integers(2, 48, 2))) < 0.9
+        mask[-1] = mask[:, -1] = False
+        if rng.random() < 0.5:
+            mask[0] = mask[:, 0] = False
+        masks.append(mask)
+    for _ in range(40):
+        mask = np.zeros(tuple(rng.integers(1, 48, 2)), dtype=bool)
+        step_r, step_c = rng.integers(1, 8, 2)
+        mask[rng.integers(0, step_r) :: step_r, rng.integers(0, step_c) :: step_c] = True
+        masks.append(mask)
+    for _ in range(30):
+        mask = np.zeros(tuple(rng.integers(1, 48, 2)), dtype=bool)
+        mask[rng.integers(0, mask.shape[0]), rng.integers(0, mask.shape[1])] = True
+        masks.append(mask)
+    return [m for m in masks if m.any()]
+
+
+def test_nearest_valid_indices_equal_distance_transform_edt():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for valid in oracle_masks():
+        want = ndimage.distance_transform_edt(~valid, return_distances=False,
+                                              return_indices=True)
+        got = _nearest_valid(valid)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), valid
