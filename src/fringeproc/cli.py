@@ -16,15 +16,19 @@ stays valid JSON. ``evaluate`` writes no file; it prints its report as one
 ``key=value`` line, or as JSON through --json-report. Every file goes through
 ``container.write_atomic`` (temp file + rename), so none is left truncated.
 FRINGEPROC_THREADS caps benchmark parallelism (default 1; a value that is not
-a positive integer is a usage error).
+a positive integer is a usage error, as is an unknown --methods name or a
+sweep with no cases). Commands raise; ``main`` alone maps an exception to its
+exit code and prints it as one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -62,14 +66,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-
-class StageError(Exception):
-    """Wraps a failure with the pipeline stage it occurred in."""
-
-    def __init__(self, stage: str, original: Exception):
-        super().__init__(f"[{stage}] {original}")
-        self.stage = stage
-        self.original = original
+# the classical orientation estimators, by their --method / --methods name
+ESTIMATORS = {"gradient": gradient_orientation, "cpfg": cpfg_orientation}
 
 
 class UsageError(Exception):
@@ -139,6 +137,15 @@ def _noise_std(text: str) -> float:
 
 def _noise_std_list(text: str) -> list[float]:
     return [_noise_std(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _methods(text: str) -> list[str]:
+    """A non-empty comma list of ESTIMATORS names and deeporient."""
+    methods = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not methods or not set(methods) <= {*ESTIMATORS, "deeporient"}:
+        raise argparse.ArgumentTypeError(
+            f"bad method list {text!r}: choose from {', '.join(ESTIMATORS)}, deeporient")
+    return methods
 
 
 # --------------------------------------------------------------------------
@@ -233,9 +240,7 @@ def cmd_orient_classic(args) -> int:
     if args.prefilter:
         img = prefilter(img, background_sigma=args.background_sigma,
                         smooth_sigma=args.smooth_sigma)
-    win = WindowSpec(args.window)
-    estimator = gradient_orientation if args.method == "gradient" else cpfg_orientation
-    fo = estimator(img, win)
+    fo = ESTIMATORS[args.method](img, WindowSpec(args.window))
     return _record(args, str(args.out) + ".manifest.json", f"wrote {args.out}",
                    [(args.out, fo.angles, {"kind": "orientation"})],
                    valid_fraction=float(fo.valid.mean()))
@@ -295,30 +300,29 @@ def cmd_evaluate(args) -> int:
 # benchmark sweep (Fig. 5(a)-style)
 
 
-def _benchmark_case(payload):
-    """One sweep case: simulate, prefilter, run each method, return OE rows."""
-    (a, noise_std, rep, case_seed, size, period, theta, window,
-     methods, weights, emit_dir, border) = payload
-    shape = (size, size)
-    phase = gen_peaks_phase(size, a) + gen_carrier(shape, CarrierSpec(period, theta))
+def _benchmark_case(args, weights, case):
+    """One sweep case (a, noise_std, rep, seed): simulate, prefilter, run each
+    method, return OE rows."""
+    a, noise_std, rep, case_seed = case
+    size = args.size
+    phase = gen_peaks_phase(size, a) + gen_carrier(
+        (size, size), CarrierSpec(args.period, args.theta))
     fringe = add_gaussian_noise(render_fringe(phase), noise_std, seed=case_seed)
     gt = ground_truth_orientation(phase)
     pre = prefilter(fringe)
     rows = []
-    for method in methods:
-        if method == "gradient":
-            fo = gradient_orientation(pre, WindowSpec(window))
-        elif method == "cpfg":
-            fo = cpfg_orientation(pre, WindowSpec(window))
-        else:
+    for method in args.methods:
+        if method == "deeporient":
             fo = infer_orientation(weights, pre)
-        oe = orientation_error(fo, gt, exclude_border=border)
+        else:
+            fo = ESTIMATORS[method](pre, WindowSpec(args.window))
+        oe = orientation_error(fo, gt, exclude_border=args.exclude_border)
         rows.append({"a": a, "noise_std": noise_std, "method": method,
                      "seed": case_seed, "oe": oe})
-        if emit_dir is not None:
+        if args.emit_error_maps:
             err = np.abs(np.sin(2.0 * fo.angles) - np.sin(2.0 * gt.angles))
             name = f"errmap_a{a:g}_n{noise_std:g}_r{rep}_{method}.fpai"
-            write_container(Path(emit_dir) / name, err,
+            write_container(Path(args.emit_error_maps) / name, err,
                             meta={"kind": "error_map", "seed": case_seed,
                                   "params": {"a": a, "noise_std": noise_std,
                                              "method": method}})
@@ -339,36 +343,24 @@ def _benchmark_workers() -> int:
 
 def cmd_benchmark(args) -> int:
     workers = _benchmark_workers()
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in ("gradient", "cpfg", "deeporient"):
-            raise NumericalError(f"unknown method {m!r}")
-    if "deeporient" in methods and not args.model:
+    cases = [(a, noise_std, rep, derive_seed(args.seed, i)) for i, (a, noise_std, rep)
+             in enumerate(itertools.product(args.a_values, args.noise_std, range(args.reps)))]
+    if not cases:
+        raise UsageError("empty sweep: --a-values and --noise-std need a value each "
+                         "and --reps must be positive")
+    if "deeporient" in args.methods and not args.model:
         raise NumericalError("method deeporient requires --model")
-    if not args.a_values or not methods:
-        raise NumericalError("empty sweep")
     # loaded once, and before any case runs so a bad file fails early
     weights = load_weights(args.model) if args.model else None
 
     if args.emit_error_maps:
         Path(args.emit_error_maps).mkdir(parents=True, exist_ok=True)
-    cases = []
-    case_idx = 0
-    for a in args.a_values:
-        for noise_std in args.noise_std:
-            for rep in range(args.reps):
-                case_seed = derive_seed(args.seed, case_idx)
-                cases.append((a, noise_std, rep, case_seed, args.size,
-                              args.period, args.theta, args.window, methods,
-                              weights, args.emit_error_maps,
-                              args.exclude_border))
-                case_idx += 1
-
+    run_case = functools.partial(_benchmark_case, args, weights)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(_benchmark_case, cases))
+            all_rows = list(pool.map(run_case, cases))
     else:
-        all_rows = [_benchmark_case(c) for c in cases]
+        all_rows = list(map(run_case, cases))
 
     out = Path(args.out)
     buf = io.StringIO()
@@ -391,48 +383,32 @@ def cmd_benchmark(args) -> int:
 
 def cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-
-    fringe = stage("load-fringe", lambda: _read_image(args.fringe))
+    fringe = _read_image(args.fringe)
     gt = (read_sidecar(args.fringe) or {}).get("ground_truth")
     if gt is not None and not (isinstance(gt, dict)
                                and all(isinstance(gt.get(k), str) for k in ("fo", "phase"))):
         raise FormatError(f"{args.fringe}: sidecar ground_truth needs 'fo' and 'phase' file names")
-    weights = stage("load-model", lambda: load_weights(args.model))
-    pre = stage("prefilter", lambda: prefilter(fringe))
-    fo = stage("infer-orientation", lambda: infer_orientation(weights, pre))
-    direction, anchor = stage("unwrap-direction", lambda: orientation_to_direction(fo))
-    wrapped, unwrapped, info = stage("demodulate", lambda: demodulate(pre, direction))
+    weights = load_weights(args.model)
+    pre = prefilter(fringe)
+    fo = infer_orientation(weights, pre)
+    direction, anchor = orientation_to_direction(fo)
+    wrapped, unwrapped, info = demodulate(pre, direction)
 
-    report = None
-    sign_flipped = None
+    report = sign_flipped = None
     if gt is not None:
         base = Path(args.fringe).parent
-
-        def evaluate():
-            fo_ref = read_orientation(base / gt["fo"])
-            phase_ref = _read_image(base / gt["phase"])
-            # the direction branch is inherently ambiguous; a flipped branch
-            # negates the demodulated phase, so score the better global sign
-            rmse_same = rmse_phase(unwrapped, phase_ref, args.exclude_border)
-            rmse_flip = rmse_phase(-unwrapped, phase_ref, args.exclude_border)
-            return rmse_flip < rmse_same, EvalReport(
-                method="pipeline",
-                orientation_error=orientation_error(fo, fo_ref, args.exclude_border),
-                rmse_phase=min(rmse_same, rmse_flip),
-                excluded_border=args.exclude_border,
-                valid_pixel_fraction=valid_fraction(fo, fo_ref, args.exclude_border),
-            )
-
-        sign_flipped, report = stage("evaluate", evaluate)
+        border = args.exclude_border
+        fo_ref = read_orientation(base / gt["fo"])
+        phase_ref = _read_image(base / gt["phase"])
+        # the direction branch is inherently ambiguous; a flipped branch
+        # negates the demodulated phase, so score the better global sign
+        rmse_same = rmse_phase(unwrapped, phase_ref, border)
+        rmse_flip = rmse_phase(-unwrapped, phase_ref, border)
+        sign_flipped = rmse_flip < rmse_same
+        report = EvalReport(method="pipeline",
+                            orientation_error=orientation_error(fo, fo_ref, border),
+                            rmse_phase=min(rmse_same, rmse_flip), excluded_border=border,
+                            valid_pixel_fraction=valid_fraction(fo, fo_ref, border))
 
     message = f"pipeline outputs in {out_dir}"
     if report:
@@ -443,6 +419,7 @@ def cmd_pipeline(args) -> int:
         ("prefiltered.fpai", pre, "fringe"), ("fo.fpai", fo.angles, "orientation"),
         ("direction.fpai", direction, "direction"), ("wrapped.fpai", wrapped, "phase"),
         ("phase.fpai", unwrapped, "phase"))]
+    out_dir.mkdir(parents=True, exist_ok=True)
     return _record(args, out_dir / "run_manifest.json", message, images,
                    branch_anchor=anchor, phase_sign_flipped_vs_truth=sign_flipped,
                    demodulation=info, report=report.to_json() if report else None)
@@ -508,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orient-classic", help="gradient / plane-fit estimation")
     common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("gradient", "cpfg"), default="cpfg")
+    p.add_argument("--method", choices=ESTIMATORS, default="cpfg")
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--out", required=True)
     p.add_argument("--prefilter", action=argparse.BooleanOptionalAction, default=True)
@@ -544,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-values", type=_float_list,
                    default=[float(v) for v in range(11)])
     p.add_argument("--noise-std", type=_noise_std_list, default=[0.0, 0.1])
-    p.add_argument("--methods", default="gradient,cpfg")
+    p.add_argument("--methods", type=_methods, default="gradient,cpfg")
     p.add_argument("--model", help="FPAW weights (required for deeporient)")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--size", type=int, default=512,
@@ -577,15 +554,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.original, (FormatError, OSError)):
-            return EXIT_IO
-        return EXIT_NUMERICAL
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericalError, ValueError) as exc:
+    except (NumericalError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

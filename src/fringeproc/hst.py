@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import as_real_image, fft2, ifft2
+from .image import MIN_ESTIMATOR_SIZE, as_real_image, fft2, ifft2
 from .unwrap import unwrap_phase_2d
 
 QUADRATURE_MEAN_WARN = 0.05
@@ -28,8 +28,9 @@ def make_spiral_filter(rows: int, cols: int) -> np.ndarray:
     Bin layout matches fft2 (DC at [0, 0], negative frequencies in the upper
     halves); S(0,0) = 0 removes the singular DC bin.
     """
-    if rows < 8 or cols < 8:
-        raise ValueError("spiral filter needs at least an 8x8 grid")
+    n = MIN_ESTIMATOR_SIZE
+    if rows < n or cols < n:
+        raise ValueError(f"spiral filter needs at least an {n}x{n} grid")
     v = np.fft.fftfreq(rows) * rows  # y-frequency index per row
     u = np.fft.fftfreq(cols) * cols  # x-frequency index per column
     uu = u[np.newaxis, :]

@@ -38,7 +38,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .container import decode_samples, parse_json_object, read_tagged, write_atomic
-from .errors import HeaderError, NonFiniteSampleError, ShapeAuditError, TruncatedPayloadError
+from .errors import (HeaderError, NonFiniteSampleError, NumericalError, ShapeAuditError,
+                     TruncatedPayloadError)
+from .image import MIN_ESTIMATOR_SIZE
 from .maps import OrientationEncoding, OrientationMap, decode_orientation
 
 WEIGHTS_MAGIC = b"FPAW"
@@ -71,8 +73,9 @@ class NetworkConfig:
 
     def check_input_shape(self, shape) -> None:
         rows, cols = shape
-        if min(rows, cols) < 8:
-            raise ValueError(f"input {rows}x{cols} below the 8x8 estimator floor")
+        n = MIN_ESTIMATOR_SIZE
+        if min(rows, cols) < n:
+            raise ValueError(f"input {rows}x{cols} below the {n}x{n} estimator floor")
         d = self.size_divisor
         if rows % d or cols % d:
             raise ValueError(
@@ -374,16 +377,13 @@ def forward(weights: ModelWeights, img: np.ndarray) -> OrientationEncoding:
     rows, cols = x.shape
     d = cfg.size_divisor
     step = max(d, _BAND_BYTES // (cfg.filters * cols * x.itemsize) // d * d)
-    if step >= rows:
-        out, _ = _forward(weights, x)
-    else:
-        halo = _halo(cfg)
-        out = np.empty((2, rows, cols), dtype=x.dtype)
-        for s0 in range(0, rows, step):
-            s1 = min(rows, s0 + step)
-            lo = max(0, s0 - halo)
-            band, _ = _forward(weights, x[lo : min(rows, s1 + halo)])
-            out[:, s0:s1] = band[:, s0 - lo : s1 - lo]
+    halo = _halo(cfg)
+    out = np.empty((2, rows, cols), dtype=x.dtype)
+    for s0 in range(0, rows, step):
+        s1 = min(rows, s0 + step)
+        lo = max(0, s0 - halo)
+        band, _ = _forward(weights, x[lo : min(rows, s1 + halo)])
+        out[:, s0:s1] = band[:, s0 - lo : s1 - lo]
     return OrientationEncoding(sin2=out[0], cos2=out[1])
 
 
@@ -452,8 +452,12 @@ def backward(weights: ModelWeights, img: np.ndarray,
 
 def infer_orientation(weights: ModelWeights, img: np.ndarray) -> OrientationMap:
     """Forward in float32, then decode (sin, cos) in float64 to [0, pi); weak
-    outputs are invalid."""
-    enc = forward(weights, np.asarray(img, dtype=np.float32))
+    outputs are invalid. Raises NumericalError when the float32 forward
+    overflows (finite weights can still push an activation past float32)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        enc = forward(weights, np.asarray(img, dtype=np.float32))
+    if not (np.isfinite(enc.sin2).all() and np.isfinite(enc.cos2).all()):
+        raise NumericalError("network output is not finite (float32 overflow)")
     # rebound, so the float32 output is freed before the decode's temporaries
     enc = OrientationEncoding(sin2=enc.sin2.astype(np.float64),
                               cos2=enc.cos2.astype(np.float64))

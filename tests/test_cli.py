@@ -21,11 +21,30 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """run's exit code, whether main returns it or argparse exits with it."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture()
 def tiny_model(tmp_path):
     path = tmp_path / "tiny.fpaw"
     save_weights(build_network(NetworkConfig(paths=2, filters=2, blocks_per_path=1),
                                init_seed=3), path)
+    return path
+
+
+@pytest.fixture()
+def huge_model(tmp_path):
+    """A model whose finite float32 weight overflows the float32 forward."""
+    weights = build_network(NetworkConfig(paths=2, filters=2, blocks_per_path=1),
+                            init_seed=3)
+    weights.tensors["path1.in.w"][0, 0, 1, 1] = 3e38
+    path = tmp_path / "huge.fpaw"
+    save_weights(weights, path)
     return path
 
 
@@ -114,6 +133,31 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--methods", "cpfg,foo"], id="unknown-method"),
+        pytest.param(["--methods", ","], id="no-methods"),
+        pytest.param(["--a-values", ""], id="no-a-values"),
+        pytest.param(["--noise-std", ""], id="no-noise-std"),
+        pytest.param(["--reps", "0"], id="no-reps"),
+    ])
+    def test_empty_or_unknown_sweep_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "r.csv"
+        assert exit_code("benchmark", "--a-values", "1", "--noise-std", "0", "--reps", "1",
+                         "--size", "32", *argv, "--out", out) == 2
+        assert not out.exists()
+
+    def test_pipeline_failure_is_one_error_line(self, tmp_path, peaks_object, huge_model):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fringeproc.cli", "pipeline", "--fringe",
+             str(peaks_object), "--model", str(huge_model), "--out-dir", str(tmp_path / "run"),
+             "--exclude-border", "8"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_success_is_zero(self, tmp_path):
         img = tmp_path / "img.fpai"
@@ -275,6 +319,11 @@ class TestTrainInfer:
         assert fo.shape == (32, 32)
         assert np.all((fo >= 0) & (fo < np.pi))
 
+    def test_float32_overflow_is_numerical_error(self, peaks_object, huge_model, tmp_path):
+        out = tmp_path / "fo.fpai"
+        assert run("infer", "--model", huge_model, "--input", peaks_object, "--out", out) == 4
+        assert not out.exists()
+
     def test_infer_missing_model_io_error(self, peaks_object, tmp_path):
         assert run("infer", "--model", tmp_path / "missing.fpaw",
                    "--input", peaks_object, "--out", tmp_path / "x.fpai") == 3
@@ -382,6 +431,7 @@ class TestPipeline:
                    "--rows", "32", "--cols", "32") == 0
         assert run("pipeline", "--fringe", obj, "--model", tmp_path / "no.fpaw",
                    "--out-dir", tmp_path / "run") == 3
+        assert not (tmp_path / "run").exists()
 
     def test_pipeline_reruns_identically(self, tmp_path, tiny_model):
         obj = tmp_path / "obj.fpai"
