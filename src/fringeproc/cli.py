@@ -17,8 +17,10 @@ stays valid JSON. ``evaluate`` writes no file; it prints its report as one
 ``container.write_atomic`` (temp file + rename), so none is left truncated.
 FRINGEPROC_THREADS caps benchmark parallelism (default 1; a value that is not
 a positive integer is a usage error, as is an unknown --methods name or a
-sweep with no cases). Commands raise; ``main`` alone maps an exception to its
-exit code and prints it as one ``error:`` line.
+sweep with no cases). So is any option value that can never work, such as
+--window 1 or --rows 0: each command builds its specs from the options first,
+so such a value exits 2 before any file is written. Commands raise; ``main``
+alone maps an exception to its exit code and prints it as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .container import (read_container, read_encoding, read_orientation, read_si
                          single_channel, write_atomic, write_container, write_json)
 from .errors import FormatError, NumericalError
 from .hst import demodulate
+from .image import MIN_ESTIMATOR_SIZE
 from .metrics import EvalReport, orientation_error, rmse_channels, rmse_phase, valid_fraction
 from .network import NetworkConfig, infer_orientation, load_weights, save_weights
 from .orientation import WindowSpec, cpfg_orientation, gradient_orientation, prefilter
@@ -72,6 +75,14 @@ ESTIMATORS = {"gradient": gradient_orientation, "cpfg": cpfg_orientation}
 
 class UsageError(Exception):
     """Arguments that parse but do not fit together (exit 2, as argparse)."""
+
+
+def _usage(build, *args, **kwargs):
+    """build(*args, **kwargs), where a ValueError means options that can never work."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _emit_report(target, payload: dict) -> None:
@@ -124,19 +135,25 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _noise_std(text: str) -> float:
-    """A noise standard deviation: a float that is not negative (nor NaN)."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float {text!r}") from exc
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"noise std must be non-negative, got {text!r}")
-    return value
+def _at_least(low, kind=float):
+    """An argparse type: a ``kind`` value that is at least ``low`` (NaN is not)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} {text!r}") from exc
+        if not value >= low:
+            bound = "non-negative" if low == 0 else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+    return parse
 
 
-def _noise_std_list(text: str) -> list[float]:
-    return [_noise_std(tok) for tok in text.split(",") if tok.strip() != ""]
+_non_negative = _at_least(0.0)
+
+
+def _non_negative_list(text: str) -> list[float]:
+    return [_non_negative(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _methods(text: str) -> list[str]:
@@ -155,18 +172,14 @@ def _methods(text: str) -> list[str]:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     if args.mode == "dataset":
-        manifest = DatasetManifest(
-            base_seed=args.seed,
-            count=args.count,
-            rows=args.rows,
-            cols=args.cols,
-            noise_std=args.noise_std,
-        )
+        manifest = _usage(DatasetManifest, base_seed=args.seed, count=args.count,
+                          rows=args.rows, cols=args.cols, noise_std=args.noise_std)
         path = make_dataset(manifest, out)
         return _record(args, out / "run_manifest.json",
                        f"wrote {manifest.count} items to {out}", files=[path])
 
     # single object with full ground truth, for pipeline-style runs
+    carrier = _usage(CarrierSpec, args.period, args.theta)
     shape = (args.rows, args.cols)
     if args.object == "peaks":
         if args.rows != args.cols:
@@ -174,7 +187,7 @@ def cmd_simulate(args) -> int:
         obj = gen_peaks_phase(args.rows, args.a)
     else:
         obj = gen_blob_mask_phase(shape, seed=args.seed, amplitude=args.a)
-    phase = obj + gen_carrier(shape, CarrierSpec(args.period, args.theta))
+    phase = obj + gen_carrier(shape, carrier)
     fringe = add_gaussian_noise(render_fringe(phase), args.noise_std,
                                 seed=splitmix64(args.seed))
     truth = [("phase", phase, "phase"),
@@ -194,6 +207,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    net_cfg = _usage(NetworkConfig, paths=args.paths, filters=args.filters,
+                     blocks_per_path=args.blocks)
+    train_cfg = _usage(TrainConfig, initial_lr=args.lr, epochs=args.epochs,
+                       batch_size=args.batch_size, shuffle_seed=args.seed)
     samples = load_samples(args.dataset)
     if args.val_dataset:
         val = load_samples(args.val_dataset)
@@ -203,10 +220,6 @@ def cmd_train(args) -> int:
         if n_val >= len(samples):
             raise NumericalError("validation split leaves no training items")
         trn, val = samples[:-n_val], samples[-n_val:]
-    net_cfg = NetworkConfig(paths=args.paths, filters=args.filters,
-                            blocks_per_path=args.blocks)
-    train_cfg = TrainConfig(initial_lr=args.lr, epochs=args.epochs,
-                            batch_size=args.batch_size, shuffle_seed=args.seed)
     result = train(trn, val, net_cfg, train_cfg)
     save_weights(result.weights, args.out)
     history_path = str(args.out) + ".history.json"
@@ -236,11 +249,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_orient_classic(args) -> int:
+    window = _usage(WindowSpec, args.window)
     img = _read_image(args.input)
     if args.prefilter:
         img = prefilter(img, background_sigma=args.background_sigma,
                         smooth_sigma=args.smooth_sigma)
-    fo = ESTIMATORS[args.method](img, WindowSpec(args.window))
+    fo = ESTIMATORS[args.method](img, window)
     return _record(args, str(args.out) + ".manifest.json", f"wrote {args.out}",
                    [(args.out, fo.angles, {"kind": "orientation"})],
                    valid_fraction=float(fo.valid.mean()))
@@ -300,13 +314,12 @@ def cmd_evaluate(args) -> int:
 # benchmark sweep (Fig. 5(a)-style)
 
 
-def _benchmark_case(args, weights, case):
+def _benchmark_case(args, carrier, window, weights, case):
     """One sweep case (a, noise_std, rep, seed): simulate, prefilter, run each
     method, return OE rows."""
     a, noise_std, rep, case_seed = case
     size = args.size
-    phase = gen_peaks_phase(size, a) + gen_carrier(
-        (size, size), CarrierSpec(args.period, args.theta))
+    phase = gen_peaks_phase(size, a) + gen_carrier((size, size), carrier)
     fringe = add_gaussian_noise(render_fringe(phase), noise_std, seed=case_seed)
     gt = ground_truth_orientation(phase)
     pre = prefilter(fringe)
@@ -315,7 +328,7 @@ def _benchmark_case(args, weights, case):
         if method == "deeporient":
             fo = infer_orientation(weights, pre)
         else:
-            fo = ESTIMATORS[method](pre, WindowSpec(args.window))
+            fo = ESTIMATORS[method](pre, window)
         oe = orientation_error(fo, gt, exclude_border=args.exclude_border)
         rows.append({"a": a, "noise_std": noise_std, "method": method,
                      "seed": case_seed, "oe": oe})
@@ -349,13 +362,22 @@ def cmd_benchmark(args) -> int:
         raise UsageError("empty sweep: --a-values and --noise-std need a value each "
                          "and --reps must be positive")
     if "deeporient" in args.methods and not args.model:
-        raise NumericalError("method deeporient requires --model")
+        raise UsageError("method deeporient requires --model")
+    shape = (args.size, args.size)
+    carrier = _usage(CarrierSpec, args.period, args.theta)
+    window = _usage(WindowSpec, args.window)
+    _usage(window.check_fits, shape)
+    if 2 * args.exclude_border >= args.size:
+        raise UsageError(f"--exclude-border {args.exclude_border} leaves no pixels "
+                         f"of a {args.size} px grid")
     # loaded once, and before any case runs so a bad file fails early
     weights = load_weights(args.model) if args.model else None
+    if weights and "deeporient" in args.methods:
+        _usage(weights.config.check_input_shape, shape)
 
     if args.emit_error_maps:
         Path(args.emit_error_maps).mkdir(parents=True, exist_ok=True)
-    run_case = functools.partial(_benchmark_case, args, weights)
+    run_case = functools.partial(_benchmark_case, args, carrier, window, weights)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(run_case, cases))
@@ -449,11 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="dataset directory, or fringe .fpai in object mode")
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--rows", type=int, default=64)
-    p.add_argument("--cols", type=int, default=64)
-    p.add_argument("--noise-std", type=_noise_std, default=0.0)
+    p.add_argument("--rows", type=_at_least(2, int), default=64)
+    p.add_argument("--cols", type=_at_least(2, int), default=64)
+    p.add_argument("--noise-std", type=_non_negative, default=0.0)
     p.add_argument("--object", choices=("peaks", "blob"), default="peaks")
-    p.add_argument("--a", type=float, default=1.0,
+    p.add_argument("--a", type=_non_negative, default=1.0,
                    help="object amplitude (peaks coefficient / blob radians)")
     p.add_argument("--period", type=float, default=14.0)
     p.add_argument("--theta", type=float, default=0.0)
@@ -513,23 +535,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", choices=("oe", "rmse-sin", "rmse-phase"),
                    default="oe")
-    p.add_argument("--exclude-border", type=int, default=0)
+    p.add_argument("--exclude-border", type=_at_least(0, int), default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="peaks-modulation sweep (CSV)")
     common(p)
     p.add_argument("--a-values", type=_float_list,
                    default=[float(v) for v in range(11)])
-    p.add_argument("--noise-std", type=_noise_std_list, default=[0.0, 0.1])
+    p.add_argument("--noise-std", type=_non_negative_list, default=[0.0, 0.1])
     p.add_argument("--methods", type=_methods, default="gradient,cpfg")
     p.add_argument("--model", help="FPAW weights (required for deeporient)")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--size", type=int, default=512,
+    p.add_argument("--size", type=_at_least(MIN_ESTIMATOR_SIZE, int), default=512,
                    help="sweep grid side (512 reproduces the reference geometry)")
     p.add_argument("--period", type=float, default=14.0)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--exclude-border", type=int, default=8)
+    p.add_argument("--exclude-border", type=_at_least(0, int), default=8)
     p.add_argument("--emit-error-maps", metavar="DIR",
                    help="also write |sin 2FO - sin 2FO_gt| maps here")
     p.add_argument("--out", required=True)
@@ -540,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fringe", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--exclude-border", type=int, default=16)
+    p.add_argument("--exclude-border", type=_at_least(0, int), default=16)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -54,10 +54,10 @@ def write_atomic(path, *chunks: bytes) -> None:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def write_json(path, payload: dict) -> None:

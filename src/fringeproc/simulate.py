@@ -9,7 +9,8 @@ manifest base seed through SplitMix64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,15 @@ from .maps import OrientationMap, encode_orientation, orientation_from_gradients
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
+
+# the training family's ranges, fixed by the paper
+KERNEL_COUNT_RANGE = (1, 50)  # Gaussian bumps per object, inclusive
+SIGMA_FRACTION_RANGE = (0.05, 0.25)  # bump sigma, as a fraction of the shorter side
+AMPLITUDE_RANGE = (-8.0, 8.0)  # bump amplitude, rad
+PERIOD_RANGE = (8.0, 32.0)  # carrier period, px
+THETA_RANGE = (0.0, np.pi)  # carrier azimuth, rad
+
+MANIFEST_VERSION = 2  # version 1 also listed the items and the ranges; both read
 
 
 def splitmix64(x: int) -> int:
@@ -104,31 +114,24 @@ def gen_carrier(shape, carrier: CarrierSpec) -> np.ndarray:
     return x * np.cos(carrier.theta) * k + y * np.sin(carrier.theta) * k
 
 
-def gen_object_phase_gaussians(
-    shape,
-    seed: int,
-    kernel_count_range=(1, 50),
-    sigma_range=None,
-    amplitude_range=(-8.0, 8.0),
-) -> np.ndarray:
+def gen_object_phase_gaussians(shape, seed: int) -> np.ndarray:
     """Sum of random 2D Gaussian bumps: A_k * exp(-((x-cx)^2+(y-cy)^2)/(2*sigma^2)).
 
-    Defaults: count uniform in [1, 50], sigma in [5%, 25%] of min(rows, cols),
-    amplitude in [-8, 8] rad, centers uniform inside the image.
+    Count, sigma and amplitude are uniform over KERNEL_COUNT_RANGE,
+    SIGMA_FRACTION_RANGE of min(rows, cols) and AMPLITUDE_RANGE; centers are
+    uniform inside the image.
     """
     rows, cols = shape
-    if sigma_range is None:
-        m = min(rows, cols)
-        sigma_range = (0.05 * m, 0.25 * m)
+    m = min(rows, cols)
     rng = make_rng(seed)
-    lo, hi = kernel_count_range
+    lo, hi = KERNEL_COUNT_RANGE
     count = int(rng.integers(lo, hi + 1))
     kernels = [
         GaussianKernelSpec(
             cx=rng.uniform(0, cols - 1),
             cy=rng.uniform(0, rows - 1),
-            sigma=rng.uniform(*sigma_range),
-            amplitude=rng.uniform(*amplitude_range),
+            sigma=rng.uniform(SIGMA_FRACTION_RANGE[0] * m, SIGMA_FRACTION_RANGE[1] * m),
+            amplitude=rng.uniform(*AMPLITUDE_RANGE),
         )
         for _ in range(count)
     ]
@@ -211,7 +214,7 @@ def ground_truth_direction(phase: np.ndarray) -> np.ndarray:
 # Seeded dataset generation
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetManifest:
     """Reproducible description of a simulated fringe corpus.
 
@@ -223,65 +226,44 @@ class DatasetManifest:
     count: int
     rows: int = 64
     cols: int = 64
-    kernel_count_range: tuple = (1, 50)
-    sigma_range: tuple | None = None  # px; defaults to [5%, 25%] of min(rows, cols)
-    amplitude_range: tuple = (-8.0, 8.0)  # rad
-    period_range: tuple = (8.0, 32.0)  # px
-    theta_range: tuple = (0.0, np.pi)  # rad
     noise_std: float = 0.0
-    items: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.base_seed, self.count, self.rows, self.cols)):
+            raise TypeError("base_seed, count, rows and cols must be integers")
         if self.count <= 0:
             raise ValueError("count must be positive")
-        if self.noise_std < 0:
+        if min(self.rows, self.cols) < 2:
+            raise ValueError("rows and cols must be at least 2")
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be non-negative")
-        lo, hi = self.kernel_count_range
-        if not (0 <= lo <= hi <= 50):
-            raise ValueError("kernel_count_range must sit inside [0, 50]")
-        if not self.items:
-            self.items = [
-                {
-                    "index": i,
-                    "seed": derive_seed(self.base_seed, i),
-                    "fringe": f"item_{i:04d}_fringe.fpai",
-                    "encoding": f"item_{i:04d}_encoding.fpai",
-                    "fo": f"item_{i:04d}_fo.fpai",
-                }
-                for i in range(self.count)
-            ]
+
+    @property
+    def items(self):
+        """Each item's index, derived seed and file names, generated in order."""
+        for i in range(self.count):
+            yield {"index": i, "seed": derive_seed(self.base_seed, i),
+                   **{key: f"item_{i:04d}_{key}.fpai" for key in ("fringe", "encoding", "fo")}}
 
     def to_json(self) -> dict:
-        return {"format": "fringeproc-dataset", "version": 1,
+        return {"format": "fringeproc-dataset", "version": MANIFEST_VERSION,
                 **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
     def from_json(cls, data) -> "DatasetManifest":
-        """Rebuild a manifest from ``to_json``'s output.
+        """Rebuild a manifest from ``to_json``'s output, version 1 or 2.
 
         Raises FormatError for anything else: a value that is not a dataset
-        manifest object, a missing or malformed field, an item without
-        'fringe', 'encoding' and 'fo' file names, or an item list whose
-        length is not 'count'. The last is checked before anything is built,
-        so a manifest cannot make the loader regenerate 'count' items.
+        manifest object, another version, or a missing or malformed field.
+        Other keys, such as version 1's item list and ranges, are ignored.
         """
         if not isinstance(data, dict) or data.get("format") != "fringeproc-dataset":
             raise FormatError("not a dataset manifest")
-        items = data.get("items")
-        if not isinstance(items, list) or not all(
-                isinstance(item, dict)
-                and all(isinstance(item.get(k), str) for k in ("fringe", "encoding", "fo"))
-                for item in items):
-            raise FormatError("manifest items need 'fringe', 'encoding' and 'fo' file names")
-        if "count" in data and data["count"] != len(items):
-            raise FormatError(f"manifest lists {len(items)} items for count {data['count']!r}")
-
-        def value(f):  # JSON arrays back to the tuples they were written from
-            v = data[f.name]
-            return tuple(v) if "tuple" in f.type and v is not None else v
-
+        if data.get("version") not in (1, MANIFEST_VERSION):
+            raise FormatError(f"unknown manifest version {data.get('version')!r}")
         try:
-            return cls(**{f.name: value(f) for f in fields(cls)})
+            return cls(**{f.name: data[f.name] for f in fields(cls)})
         except KeyError as exc:
             raise FormatError(f"manifest lacks {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -294,24 +276,17 @@ def simulate_item(manifest: DatasetManifest, index: int):
     Draw order from the item RNG is fixed: carrier period, carrier azimuth,
     object-phase kernels, then (optionally) noise.
     """
-    item_seed = manifest.items[index]["seed"]
+    item_seed = derive_seed(manifest.base_seed, index)
     rng = make_rng(item_seed)
-    period = rng.uniform(*manifest.period_range)
-    theta = rng.uniform(*manifest.theta_range)
+    period = rng.uniform(*PERIOD_RANGE)
+    theta = rng.uniform(*THETA_RANGE)
     shape = (manifest.rows, manifest.cols)
     phase = gen_carrier(shape, CarrierSpec(period_T=period, theta=theta))
-    phase += gen_object_phase_gaussians(
-        shape,
-        seed=splitmix64(item_seed),
-        kernel_count_range=manifest.kernel_count_range,
-        sigma_range=manifest.sigma_range,
-        amplitude_range=manifest.amplitude_range,
-    )
+    phase += gen_object_phase_gaussians(shape, seed=splitmix64(item_seed))
     fringe = add_gaussian_noise(render_fringe(phase), manifest.noise_std,
                                 seed=splitmix64(item_seed ^ 1))
     fo = ground_truth_orientation(phase)
-    enc = encode_orientation(fo)
-    return fringe, enc, fo, {"period_T": period, "theta": theta}
+    return fringe, encode_orientation(fo), fo, {"period_T": period, "theta": theta}
 
 
 def make_dataset(manifest: DatasetManifest, out_dir) -> Path:
@@ -319,15 +294,12 @@ def make_dataset(manifest: DatasetManifest, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for item in manifest.items:
-        i = item["index"]
-        fringe, enc, fo, params = simulate_item(manifest, i)
-        common = {"seed": item["seed"], "params": params}
-        write_container(out_dir / item["fringe"], fringe,
-                        meta={"kind": "fringe", **common})
-        write_container(out_dir / item["encoding"], enc.to_array(),
-                        meta={"kind": "encoding", **common})
-        write_container(out_dir / item["fo"], fo.angles,
-                        meta={"kind": "orientation", **common})
+        fringe, enc, fo, params = simulate_item(manifest, item["index"])
+        images = (("fringe", fringe, "fringe"), ("encoding", enc.to_array(), "encoding"),
+                  ("fo", fo.angles, "orientation"))
+        for key, data, kind in images:
+            write_container(out_dir / item[key], data,
+                            meta={"kind": kind, "seed": item["seed"], "params": params})
     manifest_path = out_dir / "manifest.json"
     write_json(manifest_path, manifest.to_json())
     return manifest_path

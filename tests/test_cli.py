@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from fringeproc.cli import main
-from fringeproc.container import SIDECAR_KINDS, read_container, read_sidecar, write_container
+from fringeproc.container import (SIDECAR_KINDS, read_container, read_sidecar,
+                                  write_container, write_json)
 from fringeproc.network import NetworkConfig, build_network, load_weights, save_weights
-from fringeproc.simulate import DatasetManifest, make_dataset
+from fringeproc.simulate import DatasetManifest, load_manifest, make_dataset
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -54,6 +56,40 @@ def peaks_object(tmp_path):
     assert run("simulate", "--mode", "object", "--out", out,
                "--a", "0.5", "--rows", "32", "--cols", "32", "--seed", "5") == 0
     return out
+
+
+# option values that can never work, whatever the input: {t} is a tmp dir,
+# {img} a 16x16 image, {ds} a 16x16 dataset
+IMPOSSIBLE_OPTIONS = {
+    "simulate-blob-0x0": ["simulate", "--mode", "object", "--object", "blob",
+                          "--rows", "0", "--cols", "0", "--out", "{t}/o.fpai"],
+    "simulate-dataset-rows-0": ["simulate", "--rows", "0", "--out", "{t}/sim"],
+    "simulate-count--1": ["simulate", "--count", "-1", "--out", "{t}/sim"],
+    "simulate-period-2": ["simulate", "--mode", "object", "--period", "2",
+                          "--out", "{t}/o.fpai"],
+    "simulate-theta-4": ["simulate", "--mode", "object", "--theta", "4",
+                         "--out", "{t}/o.fpai"],
+    "simulate-a--1": ["simulate", "--mode", "object", "--a", "-1", "--out", "{t}/o.fpai"],
+    "orient-classic-window-0": ["orient-classic", "--input", "{img}", "--window", "0",
+                                "--out", "{t}/fo.fpai"],
+    "orient-classic-window-1": ["orient-classic", "--input", "{img}", "--window", "1",
+                                "--out", "{t}/fo.fpai"],
+    "benchmark-window-0": ["benchmark", "--window", "0", "--out", "{t}/r.csv"],
+    "benchmark-window-1": ["benchmark", "--window", "1", "--out", "{t}/r.csv"],
+    "benchmark-period-0": ["benchmark", "--period", "0", "--out", "{t}/r.csv"],
+    "benchmark-size-4": ["benchmark", "--size", "4", "--out", "{t}/r.csv"],
+    "benchmark-border-fills-grid": ["benchmark", "--size", "16", "--exclude-border", "8",
+                                    "--emit-error-maps", "{t}/maps", "--out", "{t}/r.csv"],
+    "benchmark-deeporient-no-model": ["benchmark", "--methods", "deeporient",
+                                      "--emit-error-maps", "{t}/maps", "--out", "{t}/r.csv"],
+    "evaluate-exclude-border--3": ["evaluate", "--pred", "{img}", "--ref", "{img}",
+                                   "--exclude-border", "-3"],
+    "train-epochs-0": ["train", "--dataset", "{ds}", "--epochs", "0", "--out", "{t}/m.fpaw"],
+    "train-lr--1": ["train", "--dataset", "{ds}", "--lr", "-1", "--out", "{t}/m.fpaw"],
+    "train-batch-size-0": ["train", "--dataset", "{ds}", "--batch-size", "0",
+                           "--out", "{t}/m.fpaw"],
+    "train-paths-9": ["train", "--dataset", "{ds}", "--paths", "9", "--out", "{t}/m.fpaw"],
+}
 
 
 class TestExitCodes:
@@ -147,6 +183,26 @@ class TestExitCodes:
                          "--size", "32", *argv, "--out", out) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", list(IMPOSSIBLE_OPTIONS.values()),
+                             ids=list(IMPOSSIBLE_OPTIONS))
+    def test_impossible_option_is_usage_error(self, tmp_path, capsys, argv):
+        img = tmp_path / "img.fpai"
+        write_container(img, np.zeros((16, 16)))
+        ds = _dataset(tmp_path)
+        before = set(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert exit_code(*[a.format(t=tmp_path, img=img, ds=ds) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_report_path_that_is_a_directory_leaves_no_temp(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert run("simulate", "--mode", "object", "--rows", "16", "--cols", "16",
+                   "--out", tmp_path / "o.fpai", "--json-report", taken) == 3
+        assert not (tmp_path / "taken.tmp").exists()
+
     def test_pipeline_failure_is_one_error_line(self, tmp_path, peaks_object, huge_model):
         proc = subprocess.run(
             [sys.executable, "-m", "fringeproc.cli", "pipeline", "--fringe",
@@ -219,7 +275,7 @@ class TestSimulate:
         for out in (a, b):
             assert run("simulate", "--out", out, "--count", "3",
                        "--rows", "16", "--cols", "16", "--seed", "7") == 0
-        for item in json.loads((a / "manifest.json").read_text())["items"]:
+        for item in load_manifest(a / "manifest.json").items:
             for key in ("fringe", "encoding", "fo"):
                 assert (a / item[key]).read_bytes() == (b / item[key]).read_bytes()
 
@@ -353,8 +409,7 @@ class TestTrainInfer:
         pytest.param(lambda m: [], id="list"),
         pytest.param(lambda m: {k: v for k, v in m.items() if k != "base_seed"},
                      id="no-base-seed"),
-        pytest.param(lambda m: {**m, "items": [{**m["items"][0], "fringe": 3}, *m["items"][1:]]},
-                     id="fringe-3"),
+        pytest.param(lambda m: {**m, "base_seed": 1.5}, id="base-seed-float"),
     ])
     def test_malformed_dataset_manifest_is_format_error(self, tmp_path, capsys, edit):
         ds = _dataset(tmp_path)
@@ -369,7 +424,7 @@ class TestTrainInfer:
     @pytest.mark.parametrize("count", [1, 4], ids=["first", "every"])
     def test_multi_channel_fringe_is_format_error(self, tmp_path, capsys, count):
         ds = _dataset(tmp_path)
-        items = json.loads((ds / "manifest.json").read_text())["items"]
+        items = list(load_manifest(ds / "manifest.json").items)
         for item in items[:count]:
             write_container(ds / item["fringe"], np.zeros((2, 16, 16)))
         assert run("train", "--dataset", ds, "--epochs", "1", "--filters", "2",
@@ -379,7 +434,7 @@ class TestTrainInfer:
 
     def test_one_channel_encoding_names_the_file(self, tmp_path):
         ds = _dataset(tmp_path)
-        item = json.loads((ds / "manifest.json").read_text())["items"][0]
+        item = next(load_manifest(ds / "manifest.json").items)
         write_container(ds / item["encoding"], np.zeros((16, 16)))
         proc = subprocess.run(
             [sys.executable, "-m", "fringeproc.cli", "train", "--dataset", str(ds),
@@ -390,6 +445,31 @@ class TestTrainInfer:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr and item["encoding"] in proc.stderr
         assert not (tmp_path / "m.fpaw").exists()
+
+    def test_count_beyond_the_files_names_the_first_missing(self, tmp_path, capsys):
+        # items derive lazily, so a huge count costs nothing before the first missing file
+        ds = make_dataset(DatasetManifest(base_seed=4, count=2, rows=16, cols=16),
+                          tmp_path / "ds").parent
+        write_json(ds / "manifest.json",
+                   {**json.loads((ds / "manifest.json").read_text()), "count": 200_000})
+        assert run("train", "--dataset", ds, "--epochs", "1", "--filters", "2",
+                   "--blocks", "1", "--out", tmp_path / "m.fpaw") == 3
+        assert "item_0002_fringe.fpai" in capsys.readouterr().err
+        assert not (tmp_path / "m.fpaw").exists()
+
+    def test_version_1_manifest_trains_to_the_same_model(self, tmp_path):
+        ds = _dataset(tmp_path)
+        old = tmp_path / "old"
+        old.mkdir()
+        for path in ds.glob("item_*"):
+            (old / path.name).write_bytes(path.read_bytes())
+        write_json(old / "manifest.json",
+                   _version_1_manifest(load_manifest(ds / "manifest.json")))
+        for name in ("ds", "old"):
+            assert run("train", "--dataset", tmp_path / name, "--epochs", "1",
+                       "--filters", "2", "--blocks", "1",
+                       "--out", tmp_path / f"{name}.fpaw") == 0
+        assert (tmp_path / "ds.fpaw").read_bytes() == (tmp_path / "old.fpaw").read_bytes()
 
 
 # sidecars that are not a JSON object naming the ground-truth files
@@ -490,7 +570,7 @@ class TestBenchmark:
 
     def test_deeporient_requires_model(self, tmp_path):
         assert run("benchmark", "--a-values", "0", "--methods", "deeporient",
-                   "--out", tmp_path / "x.csv") == 4
+                   "--out", tmp_path / "x.csv") == 2
 
     def test_noise_monotonicity_reported_not_hard_failed(self, tmp_path, capsys):
         # aggregate ordering must hold; single-seed violations are reported
@@ -521,6 +601,15 @@ class TestBenchmark:
         emitted = list(maps_dir.glob("*.fpai"))
         assert len(emitted) == 1
         assert read_container(emitted[0]).min() >= 0
+
+
+def _version_1_manifest(manifest):
+    """The JSON that manifest version 1 held: the five fields, the derived item
+    list and the generator's ranges."""
+    return {**manifest.to_json(), "version": 1, "items": list(manifest.items),
+            "kernel_count_range": [1, 50], "sigma_range": None,
+            "amplitude_range": [-8.0, 8.0], "period_range": [8.0, 32.0],
+            "theta_range": [0.0, math.pi]}
 
 
 def _dataset(tmp_path):
@@ -575,7 +664,7 @@ def _accounted_for(listed):
         if path.suffix == ".fpai":
             yield path.with_suffix(".json")
         elif path.name == "manifest.json":
-            for item in json.loads(path.read_text())["items"]:
+            for item in load_manifest(path).items:
                 for key in ("fringe", "encoding", "fo"):
                     yield path.parent / item[key]
                     yield (path.parent / item[key]).with_suffix(".json")

@@ -155,3 +155,11 @@ def test_failed_atomic_write_keeps_old_file_and_no_temp(tmp_path):
         write_atomic(path, b"new", "not bytes")
     assert path.read_bytes() == b"old"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_rename_leaves_no_temp(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_atomic(target, b"x")
+    assert list(tmp_path.iterdir()) == [target]

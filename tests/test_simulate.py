@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fringeproc.container import write_json
 from fringeproc.errors import FormatError
 from fringeproc.maps import (
     OrientationEncoding,
@@ -51,8 +52,7 @@ class TestCarrier:
 
 class TestGaussianPhase:
     def test_zero_kernels(self):
-        phase = gen_object_phase_gaussians((16, 16), seed=1,
-                                           kernel_count_range=(0, 0))
+        phase = render_gaussian_kernels((16, 16), [])
         assert np.all(phase == 0)
 
     def test_single_kernel_direct_evaluation(self):
@@ -217,15 +217,29 @@ class TestEncoding:
 
 
 class TestDataset:
-    def test_manifest_items_must_match_count(self, tmp_path):
-        # an empty list must not make the loader regenerate 'count' items
-        path = make_dataset(DatasetManifest(base_seed=5, count=2, rows=16, cols=16),
-                            tmp_path / "ds")
-        data = json.loads(path.read_text())
-        for items, count in (([], 200_000), (data["items"][:1], 2)):
-            path.write_text(json.dumps({**data, "items": items, "count": count}))
-            with pytest.raises(FormatError, match="items for count"):
-                load_manifest(path)
+    def test_items_derive_from_seed_and_count(self):
+        items = list(DatasetManifest(base_seed=5, count=3).items)
+        assert [item["index"] for item in items] == [0, 1, 2]
+        assert items[2] == {"index": 2, "seed": derive_seed(5, 2),
+                            "fringe": "item_0002_fringe.fpai",
+                            "encoding": "item_0002_encoding.fpai",
+                            "fo": "item_0002_fo.fpai"}
+
+    def test_manifest_size_does_not_grow_with_count(self, tmp_path):
+        lines = []
+        for count in (2, 200):
+            path = tmp_path / f"m{count}.json"
+            write_json(path, DatasetManifest(base_seed=5, count=count).to_json())
+            lines.append(len(path.read_text().splitlines()))
+        assert lines[0] == lines[1] < 12
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_manifest_version_is_format_error(self, tmp_path, version):
+        path = tmp_path / "manifest.json"
+        write_json(path, {**DatasetManifest(base_seed=5, count=2).to_json(),
+                          "version": version})
+        with pytest.raises(FormatError, match="version"):
+            load_manifest(path)
 
     def test_manifest_json_sorted_and_rerun_identical(self, tmp_path):
         manifest = DatasetManifest(base_seed=5, count=2, rows=16, cols=16)
@@ -268,8 +282,8 @@ class TestDataset:
         assert outliers / total < 1e-3  # 4-sigma Gaussian tail, asserted softly
 
     def test_unserialisable_manifest_leaves_no_file(self, tmp_path):
-        manifest = DatasetManifest(base_seed=3, count=1, rows=16, cols=16)
-        manifest.items[0]["note"] = object()
+        # a numpy integer builds the items but is not JSON
+        manifest = DatasetManifest(base_seed=3, count=1, rows=np.int64(16), cols=16)
         with pytest.raises(TypeError):
             make_dataset(manifest, tmp_path / "ds")
         assert not (tmp_path / "ds" / "manifest.json").exists()
@@ -287,4 +301,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             DatasetManifest(base_seed=1, count=1, noise_std=-0.1)
         with pytest.raises(ValueError):
-            DatasetManifest(base_seed=1, count=1, kernel_count_range=(1, 99))
+            DatasetManifest(base_seed=1, count=1, rows=1)
+        with pytest.raises(TypeError):
+            DatasetManifest(base_seed=1.5, count=1)
