@@ -26,7 +26,6 @@ alone maps an exception to its exit code and prints it as one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import io
@@ -34,7 +33,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -135,21 +133,28 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _at_least(low, kind=float):
-    """An argparse type: a ``kind`` value that is at least ``low`` (NaN is not)."""
+def _number(kind, accept, bound: str):
+    """An argparse type: a ``kind`` value for which ``accept`` holds, else
+    'must be {bound}' (NaN fails every comparison, so it is never accepted)."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad {kind.__name__} {text!r}") from exc
-        if not value >= low:
-            bound = "non-negative" if low == 0 else f"at least {low}"
+        if not accept(value):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
     return parse
 
 
+def _at_least(low, kind=float):
+    """A ``kind`` value that is at least ``low``."""
+    return _number(kind, lambda v: v >= low,
+                   "non-negative" if low == 0 else f"at least {low}")
+
+
 _non_negative = _at_least(0.0)
+_positive = _number(float, lambda v: 0 < v < np.inf, "positive and finite")
 
 
 def _non_negative_list(text: str) -> list[float]:
@@ -355,6 +360,8 @@ def _benchmark_workers() -> int:
 
 
 def cmd_benchmark(args) -> int:
+    import csv  # only the sweep writes CSV, so other commands start without it
+
     workers = _benchmark_workers()
     cases = [(a, noise_std, rep, derive_seed(args.seed, i)) for i, (a, noise_std, rep)
              in enumerate(itertools.product(args.a_values, args.noise_std, range(args.reps)))]
@@ -379,6 +386,7 @@ def cmd_benchmark(args) -> int:
         Path(args.emit_error_maps).mkdir(parents=True, exist_ok=True)
     run_case = functools.partial(_benchmark_case, args, carrier, window, weights)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(run_case, cases))
     else:
@@ -485,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--val-dataset")
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", default=0.2,
+                   type=_number(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
     p.add_argument("--paths", type=int, default=2)
     p.add_argument("--filters", type=int, default=16)
     p.add_argument("--blocks", type=int, default=2)
@@ -511,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--out", required=True)
     p.add_argument("--prefilter", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--background-sigma", type=float, default=None)
-    p.add_argument("--smooth-sigma", type=float, default=0.5)
+    p.add_argument("--background-sigma", type=_positive, default=None)
+    p.add_argument("--smooth-sigma", type=_positive, default=0.5)
     p.set_defaults(func=cmd_orient_classic)
 
     p = sub.add_parser("unwrap-orientation", help="orientation -> direction lift")

@@ -62,8 +62,8 @@ def ifft2(img: np.ndarray) -> np.ndarray:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Unit-sum 1D Gaussian truncated at +/- ceil(4*sigma)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < 4.0 * sigma < np.inf:  # the radius must be finite too; NaN fails
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     radius = int(np.ceil(4.0 * sigma))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)

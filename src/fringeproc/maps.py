@@ -66,10 +66,15 @@ def decode_orientation(enc: OrientationEncoding) -> OrientationMap:
     Channels need not be unit norm (network outputs are approximate); pixels
     with s^2 + c^2 below the magnitude floor are marked invalid.
     """
-    magnitude_sq = enc.sin2**2 + enc.cos2**2
+    # in place, so no more than two full-size float maps are alive at once
+    magnitude_sq = np.square(enc.sin2)
+    magnitude_sq += np.square(enc.cos2)
     valid = magnitude_sq >= DECODE_MAGNITUDE_EPS
-    angles = np.mod(0.5 * np.arctan2(enc.sin2, enc.cos2), np.pi)
-    angles = np.where(valid, angles, 0.0)
+    del magnitude_sq
+    angles = np.arctan2(enc.sin2, enc.cos2)
+    angles *= 0.5
+    np.mod(angles, np.pi, out=angles)
+    angles[~valid] = 0.0
     return OrientationMap(angles=angles, valid=valid)
 
 

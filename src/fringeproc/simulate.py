@@ -95,7 +95,7 @@ class GaussianKernelSpec:
 def render_gaussian_kernels(shape, kernels) -> np.ndarray:
     """Sum of A_k * exp(-((x-cx)^2 + (y-cy)^2) / (2*sigma_k^2)) over the grid."""
     rows, cols = shape
-    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    x, y = np.arange(cols, dtype=np.float64), np.arange(rows, dtype=np.float64)[:, None]
     phase = np.zeros((rows, cols))
     for k in kernels:
         if not (0 <= k.cx <= cols - 1 and 0 <= k.cy <= rows - 1):
@@ -109,7 +109,7 @@ def render_gaussian_kernels(shape, kernels) -> np.ndarray:
 def gen_carrier(shape, carrier: CarrierSpec) -> np.ndarray:
     """phi_carrier(x, y) = x*cos(theta)*2*pi/T + y*sin(theta)*2*pi/T."""
     rows, cols = shape
-    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    x, y = np.arange(cols, dtype=np.float64), np.arange(rows, dtype=np.float64)[:, None]
     k = 2.0 * np.pi / carrier.period_T
     return x * np.cos(carrier.theta) * k + y * np.sin(carrier.theta) * k
 
@@ -141,7 +141,7 @@ def gen_object_phase_gaussians(shape, seed: int) -> np.ndarray:
 def peaks_surface(size: int) -> np.ndarray:
     """The classic peaks surface on X, Y in [-3, 3] mapped linearly over the grid."""
     coords = np.linspace(-3.0, 3.0, size)
-    x, y = np.meshgrid(coords, coords)
+    x, y = coords, coords[:, None]
     return (
         3.0 * (1.0 - x) ** 2 * np.exp(-(x**2) - (y + 1.0) ** 2)
         - 10.0 * (x / 5.0 - x**3 - y**5) * np.exp(-(x**2) - y**2)
@@ -163,7 +163,7 @@ def gen_blob_mask_phase(shape, seed: int, amplitude: float) -> np.ndarray:
     rows, cols = shape
     rng = make_rng(seed)
     count = int(rng.integers(1, 6))
-    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    x, y = np.arange(cols, dtype=np.float64), np.arange(rows, dtype=np.float64)[:, None]
     mask = np.zeros((rows, cols), dtype=bool)
     for _ in range(count):
         cx = rng.uniform(0.2 * cols, 0.8 * cols)

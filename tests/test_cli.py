@@ -89,6 +89,13 @@ IMPOSSIBLE_OPTIONS = {
     "train-batch-size-0": ["train", "--dataset", "{ds}", "--batch-size", "0",
                            "--out", "{t}/m.fpaw"],
     "train-paths-9": ["train", "--dataset", "{ds}", "--paths", "9", "--out", "{t}/m.fpaw"],
+    **{f"orient-classic-{flag[2:]}-{value}": ["orient-classic", "--input", "{img}", flag,
+                                               value, "--out", "{t}/fo.fpai"]
+       for flag in ("--smooth-sigma", "--background-sigma")
+       for value in ("0", "-1", "nan", "inf")},
+    **{f"train-val-fraction-{value}": ["train", "--dataset", "{ds}", "--val-fraction", value,
+                                       "--out", "{t}/m.fpaw"]
+       for value in ("0", "-0.5", "1", "nan")},
 }
 
 
@@ -195,6 +202,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
         assert set(tmp_path.rglob("*")) == before
+
+    def test_split_that_leaves_no_training_items_is_numerical(self, tmp_path, capsys):
+        # a fraction inside (0, 1) that takes every item of this 4-item dataset
+        assert run("train", "--dataset", _dataset(tmp_path), "--val-fraction", "0.9",
+                   "--out", tmp_path / "m.fpaw") == 4
+        assert "no training items" in capsys.readouterr().err
+        assert not (tmp_path / "m.fpaw").exists()
 
     def test_report_path_that_is_a_directory_leaves_no_temp(self, tmp_path):
         taken = tmp_path / "taken"
@@ -524,6 +538,15 @@ class TestPipeline:
                        "--out-dir", out_dir, "--exclude-border", "8") == 0
             outs.append((out_dir / "phase.fpai").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a parallel benchmark sweep starts a pool; no other command pays its import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fringeproc.cli; print(sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBenchmark:

@@ -149,6 +149,12 @@ class TestGaussianBlur:
         with pytest.raises(ValueError):
             gaussian_blur(np.zeros((8, 8)), 0.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 1e308])
+    def test_rejects_sigma_without_a_finite_kernel(self, sigma):
+        # ValueError, not the OverflowError of rounding an infinite radius
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_kernel(sigma)
+
     @settings(max_examples=150, deadline=None)
     @given(rows=st.integers(1, 64), cols=st.integers(1, 64),
            sigma=st.floats(0.5, 30.0), scale=st.floats(1e-3, 1e3),

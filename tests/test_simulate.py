@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fringeproc.container import write_json
 from fringeproc.errors import FormatError
+from fringeproc.image import gaussian_blur
 from fringeproc.maps import (
     OrientationEncoding,
     OrientationMap,
@@ -14,6 +16,7 @@ from fringeproc.maps import (
     encode_orientation,
 )
 from fringeproc.simulate import (
+    AMPLITUDE_RANGE,
     CarrierSpec,
     DatasetManifest,
     GaussianKernelSpec,
@@ -27,9 +30,123 @@ from fringeproc.simulate import (
     ground_truth_orientation,
     load_manifest,
     make_dataset,
+    make_rng,
+    peaks_surface,
     render_fringe,
     render_gaussian_kernels,
 )
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The generators' full-grid formulas, kept as byte oracles: the generators
+# evaluate each term that depends on one axis over that axis alone and
+# broadcast it, which must not change a single output byte.
+def oracle_peaks(size):
+    coords = np.linspace(-3.0, 3.0, size)
+    x, y = np.meshgrid(coords, coords)
+    return (
+        3.0 * (1.0 - x) ** 2 * np.exp(-(x**2) - (y + 1.0) ** 2)
+        - 10.0 * (x / 5.0 - x**3 - y**5) * np.exp(-(x**2) - y**2)
+        - (1.0 / 3.0) * np.exp(-((x + 1.0) ** 2) - y**2)
+    )
+
+
+def oracle_carrier(shape, carrier):
+    rows, cols = shape
+    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    k = 2.0 * np.pi / carrier.period_T
+    return x * np.cos(carrier.theta) * k + y * np.sin(carrier.theta) * k
+
+
+def oracle_kernels(shape, kernels):
+    rows, cols = shape
+    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    phase = np.zeros((rows, cols))
+    for k in kernels:
+        phase += k.amplitude * np.exp(
+            -((x - k.cx) ** 2 + (y - k.cy) ** 2) / (2.0 * k.sigma**2)
+        )
+    return phase
+
+
+def oracle_blob(shape, seed, amplitude):
+    rows, cols = shape
+    rng = make_rng(seed)
+    count = int(rng.integers(1, 6))
+    y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    mask = np.zeros((rows, cols), dtype=bool)
+    for _ in range(count):
+        cx = rng.uniform(0.2 * cols, 0.8 * cols)
+        cy = rng.uniform(0.2 * rows, 0.8 * rows)
+        ax = rng.uniform(0.1 * cols, 0.3 * cols)
+        ay = rng.uniform(0.1 * rows, 0.3 * rows)
+        angle = rng.uniform(0, np.pi)
+        dx, dy = x - cx, y - cy
+        u = dx * np.cos(angle) + dy * np.sin(angle)
+        v = -dx * np.sin(angle) + dy * np.cos(angle)
+        mask |= (u / ax) ** 2 + (v / ay) ** 2 <= 1.0
+    blurred = gaussian_blur(mask.astype(np.float64), sigma=3.0)
+    top = blurred.max()
+    if top <= 0:
+        return np.zeros((rows, cols))
+    return amplitude * blurred / top
+
+
+# odd, even and non-square grids, either way round
+ORACLE_SHAPES = [(8, 8), (31, 31), (65, 65), (128, 135), (135, 128), (255, 255)]
+ORACLE_SEEDS = [0, 7, 2024]
+
+
+class TestBytesMatchFullGridOracles:
+    @pytest.mark.parametrize("size", [8, 31, 64, 65, 255, 256, 512])
+    def test_peaks(self, size):
+        assert np.array_equal(peaks_surface(size), oracle_peaks(size))
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_carrier(self, shape):
+        for period, theta in [(14.0, 0.0), (8.0, 0.7), (31.7, 1.5), (14.0, 3.1)]:
+            carrier = CarrierSpec(period, theta)
+            assert np.array_equal(gen_carrier(shape, carrier), oracle_carrier(shape, carrier))
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_blob(self, shape):
+        for seed in ORACLE_SEEDS:
+            assert np.array_equal(gen_blob_mask_phase(shape, seed, 2.5),
+                                  oracle_blob(shape, seed, 2.5))
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_gaussian_bumps(self, shape):
+        rows, cols = shape
+        for seed in ORACLE_SEEDS:
+            rng = make_rng(seed)
+            kernels = [GaussianKernelSpec(rng.uniform(0, cols - 1), rng.uniform(0, rows - 1),
+                                          rng.uniform(0.5, rows), rng.uniform(*AMPLITUDE_RANGE))
+                       for _ in range(int(rng.integers(1, 51)))]
+            assert np.array_equal(render_gaussian_kernels(shape, kernels),
+                                  oracle_kernels(shape, kernels))
+
+
+class TestGeneratorMemory:
+    OUTPUT_BYTES = 512 * 512 * 8
+
+    def test_carrier_peak(self):
+        # the parent's full coordinate grids peaked at 4.0 outputs
+        peak = traced_peak(gen_carrier, (512, 512), CarrierSpec(14.0, 0.7))
+        assert peak <= 1.5 * self.OUTPUT_BYTES
+
+    def test_gaussian_object_peak(self):
+        # 5.0 outputs with full coordinate grids
+        peak = traced_peak(gen_object_phase_gaussians, (512, 512), 12)
+        assert peak <= 3.5 * self.OUTPUT_BYTES
 
 
 class TestCarrier:
@@ -208,6 +325,28 @@ class TestEncoding:
                             valid=np.ones((2, 2), dtype=bool))
         back = decode_orientation(encode_orientation(fo))
         assert np.abs(back.angles - angle).max() < 1e-12
+
+    def test_decode_bytes_match_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        for dtype in (np.float64, np.float32):
+            s = rng.standard_normal((64, 64)).astype(dtype)
+            c = rng.standard_normal((64, 64)).astype(dtype)
+            s[:4], c[:4] = 3e-4, -0.0  # weak pixels, under the magnitude floor
+            s[4], c[5] = -0.0, 0.0  # signed zeros on either channel
+            s[6, ::2] = -s[6, ::2]
+            fo = decode_orientation(OrientationEncoding(sin2=s, cos2=c))
+            valid = s**2 + c**2 >= 1e-6
+            want = np.where(valid, np.mod(0.5 * np.arctan2(s, c), np.pi), 0.0)
+            assert fo.angles.dtype == want.dtype
+            assert fo.angles.tobytes() == want.tobytes()
+            assert np.array_equal(fo.valid, valid) and not valid[:4].any()
+
+    def test_decode_peak_memory(self):
+        # two float64 maps at most: the out-of-place formula peaked at 25 MiB
+        rng = np.random.default_rng(4)
+        enc = OrientationEncoding(sin2=rng.standard_normal((1024, 1024)),
+                                  cos2=rng.standard_normal((1024, 1024)))
+        assert traced_peak(decode_orientation, enc) <= 17 * 2**20
 
     def test_round_trip_uniform_sweep(self):
         angles = np.linspace(0, np.pi, 2048, endpoint=False).reshape(32, 64)
