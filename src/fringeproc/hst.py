@@ -62,7 +62,13 @@ def quadrature(s: np.ndarray, beta: np.ndarray):
         )
     spiral = make_spiral_filter(*s.shape)
     vortex = ifft2(spiral * fft2(s))
-    s_h = np.real(np.exp(1j * beta) * vortex)
+    # exp(i*beta) = cos(beta) + i*sin(beta) without the complex exp; the
+    # + 0.0 maps a sine of -0.0 to +0.0, as exp(1j * beta) does
+    phasor = np.empty(beta.shape, dtype=np.complex128)
+    np.cos(beta, out=phasor.real)
+    np.sin(beta, out=phasor.imag)
+    phasor.imag += 0.0
+    s_h = np.multiply(phasor, vortex, out=phasor).real
     return s_h, warnings
 
 

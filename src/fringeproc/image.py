@@ -51,8 +51,16 @@ def gradients(img: np.ndarray) -> GradientPair:
 
 
 def fft2(img: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2D DFT; DC at index (0, 0)."""
-    return np.fft.fft2(np.asarray(img, dtype=np.complex128))
+    """Unnormalized forward 2D DFT in complex128; DC at index (0, 0).
+
+    A real image goes to numpy as float64: its real-input transform gives the
+    bytes of the complex one at about half the cost (numpy 2.4, every shape
+    of 1-40 px per side and 256^2-1024^2), and numpy 2 would transform a
+    float32 image in single precision.
+    """
+    img = np.asarray(img)
+    return np.fft.fft2(img.astype(np.complex128 if np.iscomplexobj(img) else np.float64,
+                                  copy=False))
 
 
 def ifft2(img: np.ndarray) -> np.ndarray:

@@ -73,7 +73,10 @@ def decode_orientation(enc: OrientationEncoding) -> OrientationMap:
     del magnitude_sq
     angles = np.arctan2(enc.sin2, enc.cos2)
     angles *= 0.5
-    np.mod(angles, np.pi, out=angles)
+    # angles lie in [-pi/2, pi/2], where mod pi is the exact fold x + pi for
+    # x < 0 and x + 0.0 otherwise, which maps -0.0 to +0.0 as np.mod does
+    np.add(angles, np.pi, out=angles, where=angles < 0.0)
+    angles += 0.0
     angles[~valid] = 0.0
     return OrientationMap(angles=angles, valid=valid)
 

@@ -140,12 +140,28 @@ def _box_sum(img: np.ndarray, win: WindowSpec) -> np.ndarray:
     border: it starts at clip(i - lo, 0, n - w), so it always holds w x w
     samples. The summed-area table gives the sum of every whole window, and
     the border pixels repeat the first and last of them (edge padding).
+
+    The table's four corners are taken as flat slices of the raveled table,
+    whose rows are cols + 1 long: the sum of the window at (i, j) lands at
+    flat position i * (cols + 1) + j, and the positions past column
+    cols - w of each row, whose corners wrap around a row end, are dropped.
     """
     rows, cols = img.shape
     w = win.w
-    table = np.zeros((rows + 1, cols + 1))
-    table[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
-    sums = table[w:, w:] - table[:-w, w:] - table[w:, :-w] + table[:-w, :-w]
+    step = cols + 1
+    table = np.zeros((rows + 1, step))
+    inner = table[1:, 1:]
+    np.cumsum(img, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    t = table.ravel()
+    span = (rows - w) * step + cols - w + 1
+    down = w * step
+    sums = np.empty((rows - w + 1) * step)
+    s = sums[:span]
+    np.subtract(t[down + w : down + w + span], t[w : w + span], out=s)
+    s -= t[down : down + span]
+    s += t[:span]
+    sums = sums.reshape(rows - w + 1, step)[:, : cols - w + 1]
     return np.pad(sums, ((win.lo, win.hi), (win.lo, win.hi)), mode="edge")
 
 
@@ -173,8 +189,10 @@ def _orientation_from_averaged(gx, gy, win: WindowSpec) -> OrientationMap:
     s_avg = _box_sum(2.0 * gx * gy, win) / count
     valid = np.hypot(c_avg, s_avg) >= AVERAGED_MAGNITUDE_EPS
     alpha = 0.5 * np.arctan2(s_avg, c_avg)
-    angles = np.mod(np.pi / 2.0 - alpha, np.pi)
-    angles = np.where(valid, angles, 0.0)
+    # alpha lies in [-pi/2, pi/2], so pi/2 - alpha lies in [0, pi] and its
+    # value mod pi is itself, but for pi, which folds to 0
+    angles = np.pi / 2.0 - alpha
+    angles = np.where(valid & (angles != np.pi), angles, 0.0)
     return OrientationMap(angles=angles, valid=valid)
 
 

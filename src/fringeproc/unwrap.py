@@ -55,6 +55,13 @@ def reliability_map(wrapped: np.ndarray) -> np.ndarray:
     deferred to the end of the merge order; a map with a side below 3 has no
     pixel with the full stencil and is all zeros. Raises ValueError for a
     non-2D, empty or non-finite map.
+
+    Every pass runs over the raveled map, where the horizontal, vertical and
+    diagonal neighbours of pixel p sit at p + 1, p + cols, p + cols + 1 and
+    p + cols - 1. The flat range [cols + 1, n - cols - 1) holds every inner
+    pixel and, between two inner rows, the last pixel of one and the first
+    of the next, whose stencils wrap around a row end; those are zeroed at
+    the end.
     """
     wrapped = as_real_image(wrapped)
     if wrapped.size == 0:
@@ -63,32 +70,28 @@ def reliability_map(wrapped: np.ndarray) -> np.ndarray:
     d2 = np.zeros((rows, cols))
     if rows < 3 or cols < 3:
         return d2
-    total = d2[1:-1, 1:-1]
-    diff_buf = np.empty((rows - 1, cols - 1))
-    work_buf = np.empty((rows - 1, cols - 1))
-    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        # diff[q] = wrapped[q] - wrapped[q + off] for every q that is an inner
-        # pixel p or its neighbour p - off, so each difference is wrapped
-        # once; the second difference at p is wrap(diff[p - off]) - wrap(diff[p])
-        a, b = max(dc, 0), max(-dc, 0)
-        h, w = rows - 2 + dr, cols - 2 + abs(dc)
-        diff, work = diff_buf[:h, :w], work_buf[:h, :w]
-        np.subtract(
-            wrapped[1 - dr : rows - 1, 1 - a : cols - 1 + b],
-            wrapped[1 : rows - 1 + dr, 1 - a + dc : cols - 1 + b + dc],
-            out=diff,
-        )
+    flat = wrapped.ravel()
+    start, stop = cols + 1, flat.size - cols - 1
+    total = d2.ravel()[start:stop]
+    m = total.size
+    diff_buf = np.empty(m + cols + 1)
+    work_buf = np.empty(m + cols + 1)
+    for off in (1, cols, cols + 1, cols - 1):
+        # diff[j] = flat[q] - flat[q + off] at q = start - off + j, for every q
+        # that is a pixel p of the range or its neighbour p - off, so each
+        # difference is wrapped once; the second difference at p is
+        # wrap(diff[p - off]) - wrap(diff[p])
+        diff, work = diff_buf[: m + off], work_buf[: m + off]
+        np.subtract(flat[start - off : stop], flat[start : stop + off], out=diff)
         _wrap(diff, work)
-        second = work[: rows - 2, : cols - 2]
-        np.subtract(
-            diff[: rows - 2, b : b + cols - 2],
-            diff[dr : dr + rows - 2, a : a + cols - 2],
-            out=second,
-        )
+        second = work[:m]
+        np.subtract(diff[:m], diff[off:], out=second)
         np.multiply(second, second, out=second)
         total += second
     total += 1e-30
     np.divide(1.0, total, out=total)
+    d2[:, 0] = 0.0
+    d2[:, -1] = 0.0
     return d2
 
 

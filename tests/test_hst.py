@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fringeproc.hst import demodulate, demodulate_phase, make_spiral_filter, quadrature
+from fringeproc.image import ifft2
 from fringeproc.metrics import rmse_phase
 from fringeproc.simulate import (
     CarrierSpec,
@@ -96,6 +97,22 @@ class TestQuadrature:
         inner = np.s_[16:-16, 16:-16]
         ratio = np.linalg.norm(s_h[inner]) / np.linalg.norm(s[inner])
         assert 0.95 < ratio < 1.05
+
+    @pytest.mark.parametrize("family", ["circle", "wide", "exact"])
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 14), (64, 64)])
+    def test_bytes_match_complex_exp(self, shape, family):
+        # cos and sin in one complex buffer against exp(1j * beta), and the
+        # real-input fft2 against the complex one
+        rng = np.random.default_rng(shape[1])
+        s = rng.standard_normal(shape)
+        s -= s.mean()
+        beta = {"circle": rng.uniform(0.0, 2.0 * np.pi, shape),
+                "wide": rng.uniform(-1e6, 1e6, shape),
+                "exact": rng.choice([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi], shape)}[family]
+        want = np.real(np.exp(1j * beta)
+                       * ifft2(make_spiral_filter(*shape) * np.fft.fft2(s.astype(np.complex128))))
+        got, _ = quadrature(s, beta)
+        assert got.tobytes() == want.tobytes()
 
     def test_nonzero_mean_warns(self):
         phase = gen_carrier((64, 64), CarrierSpec(14.0, 0.0))

@@ -99,6 +99,18 @@ class TestFFT:
         expected[0, 1] = expected[0, 7] = (64 / 2.0) ** 2  # N/2 per cosine line
         assert np.allclose(energy, expected, atol=1e-18)
 
+    def test_real_input_bytes_and_double_precision(self):
+        # numpy 2 transforms float32 in single precision; fft2 widens first
+        rng = np.random.default_rng(4)
+        for shape in [(1, 1), (1, 7), (8, 8), (9, 14), (64, 48)]:
+            x = rng.standard_normal(shape)
+            want = np.fft.fft2(x.astype(np.complex128))
+            assert fft2(x).tobytes() == want.tobytes()
+            x32 = x.astype(np.float32)
+            got = fft2(x32)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == np.fft.fft2(x32.astype(np.complex128)).tobytes()
+
     def test_matches_direct_dft(self):
         rng = np.random.default_rng(2)
         img = rng.standard_normal((8, 8))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fringeproc.image import fft2, gaussian_blur, gradients
 from fringeproc.maps import circular_orientation_error
@@ -28,6 +30,7 @@ from fringeproc.simulate import (
     render_fringe,
 )
 from fringeproc.unwrap import orientation_to_direction
+from test_unwrap import ORACLE_KINDS, oracle_map
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -269,6 +272,68 @@ class TestBoxSum:
             for j in range(shape[1]):
                 want[i, j] = img[r0[i] : r0[i] + w, c0[j] : c0[j] + w].sum()
         assert np.array_equal(_box_sum(img, win), want)
+
+    # the flat corners, on table rows cols + 1 long, wrap around the row
+    # ends past column cols - w; a side of w keeps one window along it
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(2, 40), cols=st.integers(2, 40), w=st.integers(2, 5),
+           kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1))
+    @example(rows=2, cols=3, w=2, kind="uniform", seed=0)
+    @example(rows=3, cols=40, w=3, kind="ties", seed=1)
+    @example(rows=40, cols=5, w=5, kind="pi", seed=2)
+    def test_flat_corners_match_2d_table_bytes(self, rows, cols, w, kind, seed):
+        img = oracle_map(kind, (rows, cols), seed)
+        win = WindowSpec(min(w, rows, cols))  # a window fits the map
+        assert _box_sum(img, win).tobytes() == two_d_box_sum(img, win).tobytes()
+
+
+def two_d_box_sum(img, win):
+    """``_box_sum`` as first written, on 2-D slices of the summed-area table:
+    the byte oracle of the flat-slice version."""
+    rows, cols = img.shape
+    w = win.w
+    table = np.zeros((rows + 1, cols + 1))
+    table[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
+    sums = table[w:, w:] - table[:-w, w:] - table[w:, :-w] + table[:-w, :-w]
+    return np.pad(sums, ((win.lo, win.hi), (win.lo, win.hi)), mode="edge")
+
+
+def mod_formula_orientation(gx, gy, win):
+    """``_orientation_from_averaged`` as first written, on the 2-D box sums
+    and with np.mod: the byte oracle of the exact fold."""
+    count = win.w * win.w
+    c_avg = two_d_box_sum(gx**2 - gy**2, win) / count
+    s_avg = two_d_box_sum(2.0 * gx * gy, win) / count
+    valid = np.hypot(c_avg, s_avg) >= 1e-9
+    alpha = 0.5 * np.arctan2(s_avg, c_avg)
+    return np.where(valid, np.mod(np.pi / 2.0 - alpha, np.pi), 0.0), valid
+
+
+class TestAveragedOrientation:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(4, 40), cols=st.integers(4, 40), w=st.integers(2, 5),
+           kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_fold_matches_mod_bytes(self, rows, cols, w, kind, seed):
+        gx, gy = oracle_map(kind, (2, rows, cols), seed)
+        win = WindowSpec(min(w, rows // 2, cols // 2))
+        got = _orientation_from_averaged(gx, gy, win)
+        angles, valid = mod_formula_orientation(gx, gy, win)
+        assert got.angles.tobytes() == angles.tobytes()
+        assert np.array_equal(got.valid, valid)
+
+    def test_pi_folds_to_zero(self):
+        # 2 * 5e-324 * -0.5 averages to -0.0 over a window, and
+        # arctan2(-0.0, c < 0) = -pi puts pi/2 - alpha on pi itself
+        gx = np.zeros((8, 8))
+        gx[3, 3] = 5e-324
+        gy = np.full((8, 8), -0.5)
+        win = WindowSpec(2)
+        s_avg = _box_sum(2.0 * gx * gy, win) / 4
+        assert (np.arctan2(s_avg, -1.0) == -np.pi).any()
+        got = _orientation_from_averaged(gx, gy, win)
+        angles, _ = mod_formula_orientation(gx, gy, win)
+        assert got.angles.tobytes() == angles.tobytes()
+        assert not got.angles.any() and not np.signbit(got.angles).any()
 
 
 class TestSeparablePlaneFit:

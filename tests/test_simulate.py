@@ -341,6 +341,18 @@ class TestEncoding:
             assert fo.angles.tobytes() == want.tobytes()
             assert np.array_equal(fo.valid, valid) and not valid[:4].any()
 
+    def test_decode_fold_edges_match_mod(self):
+        # atan2 / 2 at +-0.0, +-pi/2 and -1e-300, whose fold rounds to pi
+        s = np.array([[0.0, -0.0, 0.0, -0.0, -2e-300, 2e-300]])
+        c = np.array([[1.0, 1.0, -1.0, -1.0, 1.0, 1.0]])
+        fo = decode_orientation(OrientationEncoding(sin2=s, cos2=c))
+        half = 0.5 * np.arctan2(s, c)
+        assert half.tobytes() == np.array([[0.0, -0.0, np.pi / 2, -np.pi / 2,
+                                            -1e-300, 1e-300]]).tobytes()
+        want = np.mod(half, np.pi)
+        assert fo.angles.tobytes() == want.tobytes()
+        assert fo.angles[0, 4] == np.pi and not np.signbit(fo.angles).any()
+
     def test_decode_peak_memory(self):
         # two float64 maps at most: the out-of-place formula peaked at 25 MiB
         rng = np.random.default_rng(4)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -378,6 +378,20 @@ def test_runs_with_scipy_blocked(tmp_path):
     assert result.stdout.splitlines()[-1] == "ok"
 
 
+# Value families of the byte-identity oracles: uniform samples, multiples of
+# pi, whose wrapped differences land on the +-pi tie, and a tie alphabet.
+ORACLE_KINDS = ("uniform", "pi", "ties")
+
+
+def oracle_map(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-10.0, 10.0, shape)
+    if kind == "pi":
+        return rng.integers(-3, 4, shape) * np.pi
+    return rng.choice([0.0, 1.0, -2.0, 2.5, -3.0, 3.0], shape)
+
+
 class TestReliability:
     def test_finite_and_nonnegative(self):
         rng = np.random.default_rng(1)
@@ -405,6 +419,32 @@ class TestReliability:
                         np.round(rng.uniform(-3.0, 3.0, shape)) * np.pi):  # +-pi ties
             assert reliability_map(wrapped).tobytes() == per_stencil_reliability(wrapped).tobytes()
 
+    # the flat passes wrap their stencils around the row ends of the first
+    # and last column: 1-3 px sides put every pixel on or next to a border
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+           kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, cols=1, kind="uniform", seed=0)
+    @example(rows=2, cols=40, kind="ties", seed=1)
+    @example(rows=3, cols=3, kind="pi", seed=2)
+    @example(rows=40, cols=3, kind="ties", seed=3)
+    @example(rows=3, cols=40, kind="uniform", seed=4)
+    def test_flat_passes_match_per_stencil_bytes(self, rows, cols, kind, seed):
+        wrapped = oracle_map(kind, (rows, cols), seed)
+        assert reliability_map(wrapped).tobytes() == per_stencil_reliability(wrapped).tobytes()
+
+    def test_traced_peak_at_256(self):
+        # the map itself, then one difference and one work buffer, each a
+        # little under a map long
+        wrapped = np.random.default_rng(8).uniform(-np.pi, np.pi, (256, 256))
+        tracemalloc.start()
+        try:
+            reliability_map(wrapped)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.1 * wrapped.nbytes
+
 
 def per_stencil_reliability(wrapped):
     """``reliability_map`` as it was first written: two fresh wraps per
@@ -414,6 +454,8 @@ def per_stencil_reliability(wrapped):
 
     rows, cols = wrapped.shape
     d2 = np.zeros((rows, cols))
+    if rows < 3 or cols < 3:  # no pixel has the full stencil
+        return d2
     center = wrapped[1:-1, 1:-1]
     total = np.zeros((rows - 2, cols - 2))
     for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
@@ -518,10 +560,11 @@ class TestOrientationToDirection:
 
 
 def test_classic_chain_call_counts(monkeypatch):
-    """The classic chain unwraps once and computes reliabilities twice per
-    frame: the lift unwraps through ``_spanning_tree_unwrap``, the
-    demodulation through ``hst.unwrap_phase_2d``. Benchmark traces count these
-    calls through the same module attributes."""
+    """The classic chain estimates CPFG once, unwraps once, computes
+    reliabilities twice and runs one quadrature per frame: the lift unwraps
+    through ``_spanning_tree_unwrap``, the demodulation through
+    ``hst.unwrap_phase_2d``. Benchmark traces count these calls through the
+    same module attributes."""
     calls = {}
 
     def counting(module, name):
@@ -538,6 +581,8 @@ def test_classic_chain_call_counts(monkeypatch):
     counting(unwrap, "reliability_map")
     counting(unwrap, "unwrap_phase_2d")
     counting(hst, "unwrap_phase_2d")
+    counting(hst, "quadrature")
+    counting(orientation, "cpfg_orientation")
     phase = gen_carrier((64, 64), CarrierSpec(14.0, 0.7)) + gen_peaks_phase(64, 1.2)
     fringe = add_gaussian_noise(render_fringe(phase), 0.05, seed=3)
     pre = orientation.prefilter(fringe)
@@ -546,7 +591,9 @@ def test_classic_chain_call_counts(monkeypatch):
     hst.demodulate(pre, direction)
     assert calls == {"fringeproc.unwrap.reliability_map": 2,
                      "fringeproc.unwrap.unwrap_phase_2d": 0,
-                     "fringeproc.hst.unwrap_phase_2d": 1}
+                     "fringeproc.hst.unwrap_phase_2d": 1,
+                     "fringeproc.hst.quadrature": 1,
+                     "fringeproc.orientation.cpfg_orientation": 1}
 
 
 def oracle_masks():
