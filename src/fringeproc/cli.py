@@ -126,13 +126,6 @@ def _read_image(path) -> np.ndarray:
     return single_channel(read_container(path), path)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
-
-
 def _number(kind, accept, bound: str):
     """An argparse type: a ``kind`` value for which ``accept`` holds, else
     'must be {bound}' (NaN fails every comparison, so it is never accepted)."""
@@ -147,14 +140,12 @@ def _number(kind, accept, bound: str):
     return parse
 
 
-def _at_least(low, kind=float):
-    """A ``kind`` value that is at least ``low``."""
-    return _number(kind, lambda v: v >= low,
-                   "non-negative" if low == 0 else f"at least {low}")
+def _at_least(low: int):
+    """An integer that is at least ``low``."""
+    return _number(int, lambda v: v >= low, "non-negative" if low == 0 else f"at least {low}")
 
 
-_non_negative = _at_least(0.0)
-_positive = _number(float, lambda v: 0 < v < np.inf, "positive and finite")
+_non_negative = _number(float, lambda v: 0 <= v < np.inf, "non-negative and finite")
 
 
 def _non_negative_list(text: str) -> list[float]:
@@ -257,8 +248,7 @@ def cmd_orient_classic(args) -> int:
     window = _usage(WindowSpec, args.window)
     img = _read_image(args.input)
     if args.prefilter:
-        img = prefilter(img, background_sigma=args.background_sigma,
-                        smooth_sigma=args.smooth_sigma)
+        img = prefilter(img)
     fo = ESTIMATORS[args.method](img, window)
     return _record(args, str(args.out) + ".manifest.json", f"wrote {args.out}",
                    [(args.out, fo.angles, {"kind": "orientation"})],
@@ -479,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="dataset directory, or fringe .fpai in object mode")
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--rows", type=_at_least(2, int), default=64)
-    p.add_argument("--cols", type=_at_least(2, int), default=64)
+    p.add_argument("--rows", type=_at_least(2), default=64)
+    p.add_argument("--cols", type=_at_least(2), default=64)
     p.add_argument("--noise-std", type=_non_negative, default=0.0)
     p.add_argument("--object", choices=("peaks", "blob"), default="peaks")
     p.add_argument("--a", type=_non_negative, default=1.0,
@@ -520,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--out", required=True)
     p.add_argument("--prefilter", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--background-sigma", type=_positive, default=None)
-    p.add_argument("--smooth-sigma", type=_positive, default=0.5)
     p.set_defaults(func=cmd_orient_classic)
 
     p = sub.add_parser("unwrap-orientation", help="orientation -> direction lift")
@@ -544,23 +532,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", choices=("oe", "rmse-sin", "rmse-phase"),
                    default="oe")
-    p.add_argument("--exclude-border", type=_at_least(0, int), default=0)
+    p.add_argument("--exclude-border", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="peaks-modulation sweep (CSV)")
     common(p)
-    p.add_argument("--a-values", type=_float_list,
+    p.add_argument("--a-values", type=_non_negative_list,
                    default=[float(v) for v in range(11)])
     p.add_argument("--noise-std", type=_non_negative_list, default=[0.0, 0.1])
     p.add_argument("--methods", type=_methods, default="gradient,cpfg")
     p.add_argument("--model", help="FPAW weights (required for deeporient)")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--size", type=_at_least(MIN_ESTIMATOR_SIZE, int), default=512,
+    p.add_argument("--size", type=_at_least(MIN_ESTIMATOR_SIZE), default=512,
                    help="sweep grid side (512 reproduces the reference geometry)")
     p.add_argument("--period", type=float, default=14.0)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--exclude-border", type=_at_least(0, int), default=8)
+    p.add_argument("--exclude-border", type=_at_least(0), default=8)
     p.add_argument("--emit-error-maps", metavar="DIR",
                    help="also write |sin 2FO - sin 2FO_gt| maps here")
     p.add_argument("--out", required=True)
@@ -571,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fringe", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--exclude-border", type=_at_least(0, int), default=16)
+    p.add_argument("--exclude-border", type=_at_least(0), default=16)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -8,6 +8,8 @@ a ``.json`` suffix records the map kind, seed and generation parameters.
 ``write_atomic`` is the package's one file writer: every container, sidecar,
 weights file, run manifest and dataset manifest goes through a sibling temp
 file and a rename, so an interrupted run never leaves a truncated file behind.
+FPAI and FPAW samples are encoded by ``encode_samples``, which refuses any
+sample that the reader would reject before a byte is written.
 
 ``read_tagged``, ``decode_samples`` and ``parse_json_object`` are the package's
 one read path: FPAI and FPAW files share the length, magic and version check
@@ -72,11 +74,9 @@ def write_container(path, stack, meta: dict | None = None) -> None:
         arr = arr[np.newaxis]
     if arr.ndim != 3:
         raise ValueError(f"expected 2D image or 3D stack, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteSampleError(f"{path}: refusing to store non-finite samples")
     channels, rows, cols = arr.shape
     write_atomic(path, HEADER.pack(MAGIC, VERSION, rows, cols, channels, 0),
-                 arr.astype("<f4").tobytes())
+                 encode_samples(arr, path))
     if meta is not None:
         write_sidecar(path, meta)
 
@@ -114,6 +114,20 @@ def decode_samples(raw: bytes, offset: int, count: int, path) -> np.ndarray:
     if not np.isfinite(samples).all():
         raise NonFiniteSampleError(f"{path}: non-finite samples")
     return samples.astype(np.float64)
+
+
+def encode_samples(arr: np.ndarray, path) -> bytes:
+    """arr's samples as little-endian float32 bytes, the inverse of ``decode_samples``.
+
+    Finiteness is checked on the float32 cast, as the reader checks it, so a
+    finite value beyond float32's range (which the cast turns into inf) is
+    refused like a NaN, and every file a writer stores reads back.
+    """
+    with np.errstate(over="ignore"):
+        samples = arr.astype("<f4")
+    if not np.isfinite(samples).all():
+        raise NonFiniteSampleError(f"{path}: refusing to store samples float32 cannot hold")
+    return samples.tobytes()
 
 
 def parse_json_object(blob: bytes, where, error: type[FormatError] = FormatError) -> dict:

@@ -111,12 +111,12 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     so constant images pass through unchanged. Rows are blurred first, then
     columns, each by the direct tap-by-tap correlation, whose bytes equal
     ndimage.correlate1d(..., mode="nearest") on the same axes; the
-    simulator's blob objects, and so ``desk.fpaw``, depend on them. Short
-    kernels are its use: sigma 0.5 takes 1.6 ms at 256^2 and 7.0 ms at 512^2
-    (correlate1d: 1.7 and 7.4 ms), sigma 3 takes 2.8 and 18 ms (2.0 and 11
-    ms), one pinned core. ``prefilter``'s wide blurs, whose kernels span most
-    of a side, apply the same operator as ``gaussian_blur_matrix`` products
-    instead.
+    simulator's blob objects and every ``prefilter`` output (its 0.5 px
+    denoise) depend on them. Short kernels are its use: sigma 0.5 takes 1.6
+    ms at 256^2 and 7.0 ms at 512^2 (correlate1d: 1.7 and 7.4 ms), sigma 3
+    takes 2.8 and 18 ms (2.0 and 11 ms), one pinned core. ``prefilter``'s
+    wide blurs, whose kernels span most of a side, apply the same operator
+    as ``gaussian_blur_matrix`` products instead.
     """
     img = as_real_image(img)
     kernel = gaussian_kernel(sigma)

@@ -37,9 +37,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .container import decode_samples, parse_json_object, read_tagged, write_atomic
-from .errors import (HeaderError, NonFiniteSampleError, NumericalError, ShapeAuditError,
-                     TruncatedPayloadError)
+from .container import (decode_samples, encode_samples, parse_json_object, read_tagged,
+                        write_atomic)
+from .errors import HeaderError, NumericalError, ShapeAuditError, TruncatedPayloadError
 from .image import MIN_ESTIMATOR_SIZE
 from .maps import OrientationEncoding, OrientationMap, decode_orientation
 
@@ -126,8 +126,6 @@ class ModelWeights:
                 raise ShapeAuditError(
                     f"{name}: stored shape {t.shape}, expected {shape}"
                 )
-            if not np.all(np.isfinite(t)):
-                raise NonFiniteSampleError(f"{name}: non-finite weights")
 
     def copy(self) -> "ModelWeights":
         return ModelWeights(
@@ -479,7 +477,7 @@ def save_weights(weights: ModelWeights, path) -> None:
         {"config": weights.config.to_json(), "tensors": table},
         sort_keys=True,
     ).encode("utf-8")
-    tensors = [weights.tensors[entry["name"]].astype("<f4").tobytes() for entry in table]
+    tensors = [encode_samples(weights.tensors[entry["name"]], path) for entry in table]
     write_atomic(path, _WHEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION, len(header_json)),
                  header_json, *tensors)
 

@@ -32,6 +32,7 @@ from .maps import OrientationMap
 
 AVERAGED_MAGNITUDE_EPS = 1e-9
 NORMALIZE_EPS = 1e-6
+SMOOTH_SIGMA = 0.5  # px, prefilter's final denoise
 
 
 @dataclass(frozen=True)
@@ -78,59 +79,40 @@ def estimate_dominant_period(img: np.ndarray) -> float:
     return 1.0 / f
 
 
-def prefilter(
-    img: np.ndarray,
-    background_sigma: float | None = None,
-    smooth_sigma: float = 0.5,
-) -> np.ndarray:
+def prefilter(img: np.ndarray) -> np.ndarray:
     """Background removal + amplitude normalization + light denoise.
 
     s = img - background; s /= max(eps, blur(|s|, sigma) * pi/2) which is the
     local mean rectified amplitude of a sinusoid scaled back to its envelope;
-    then a light Gaussian denoise. Output is approximately zero-mean with
-    approximately unit amplitude.
+    then a light Gaussian denoise at ``SMOOTH_SIGMA``. Output is
+    approximately zero-mean with approximately unit amplitude.
 
-    With an explicit ``background_sigma`` the background is the blur of img
-    at background_sigma. The default ties the scale to twice the dominant
-    fringe period; when that blur would not fit the grid (2*T > min(rows,
-    cols)/8, the usual case on desk-scale images) the background degenerates
-    to its large-sigma limit, the global mean, which avoids the
-    boundary-replication dent the oversized blur would imprint.
+    Both blur scales come from the frame. The background and envelope blurs
+    share sigma = min(2 * T, min(rows, cols) / 8), T the dominant fringe
+    period. The background is the blur of img when 2 * T fits under that
+    cap; otherwise (the usual case on desk-scale images) it is the global
+    mean, the blur's large-sigma limit, which avoids the
+    boundary-replication dent an oversized blur would imprint.
 
-    The background and envelope blurs share one sigma, and their kernels
-    span most of a side (225 taps at T = 14), so both run as products with
-    ``gaussian_blur_matrix``, built once per call: 2.6 against 22 ms per
-    sigma-28 blur at 256^2 and 13 against 140 ms at 512^2 (one pinned
-    core), within 2e-15 of ``gaussian_blur``. The short ``smooth_sigma``
+    The shared-sigma kernels span most of a side (225 taps at T = 14), so
+    both blurs run as products with ``gaussian_blur_matrix``, built once per
+    call: 2.6 against 22 ms per sigma-28 blur at 256^2 and 13 against 140 ms
+    at 512^2 (one pinned core), within 2e-15 of ``gaussian_blur``. The short
     denoise stays on the direct ``gaussian_blur``, whose bytes equal
     ndimage.correlate1d's with mode "nearest": 1.6 ms at 256^2 and 7.0 ms
-    at 512^2 for sigma 0.5.
+    at 512^2.
     """
     img = as_real_image(img, min_size=MIN_ESTIMATOR_SIZE)
-    if smooth_sigma <= 0:
-        raise ValueError("smooth_sigma must be positive")
     rows, cols = img.shape
+    scale = 2.0 * estimate_dominant_period(img)
     cap = min(rows, cols) / 8.0
-    background = None
-    if background_sigma is None:
-        scale = 2.0 * estimate_dominant_period(img)
-        if scale <= cap:
-            sigma = scale
-        else:
-            background = np.full_like(img, img.mean())
-            sigma = cap
-    else:
-        if background_sigma <= 0:
-            raise ValueError("background_sigma must be positive")
-        sigma = background_sigma
+    sigma = min(scale, cap)
     b_rows = gaussian_blur_matrix(rows, sigma)
     b_cols = b_rows if rows == cols else gaussian_blur_matrix(cols, sigma)
-    if background is None:
-        background = b_rows @ img @ b_cols.T
-    s = img - background
+    s = img - (b_rows @ img @ b_cols.T if scale <= cap else img.mean())
     envelope = (b_rows @ np.abs(s) @ b_cols.T) * (np.pi / 2.0)
     s = s / np.maximum(NORMALIZE_EPS, envelope)
-    return gaussian_blur(s, smooth_sigma)
+    return gaussian_blur(s, SMOOTH_SIGMA)
 
 
 def _box_sum(img: np.ndarray, win: WindowSpec) -> np.ndarray:

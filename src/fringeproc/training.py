@@ -25,6 +25,11 @@ from .network import (  # noqa: F401  infer_orientation: perfbench/spans.py trac
 )
 from .simulate import load_manifest, splitmix64
 
+# Adam's standard moment decays and denominator guard (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -71,30 +76,23 @@ class AdamState:
         )
 
 
-def adam_step(
-    weights: ModelWeights,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_step(weights: ModelWeights, grads: dict[str, np.ndarray], state: AdamState,
+              lr: float):
     """Standard Adam with bias correction; updates weights/state in place."""
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for name, w in weights.tensors.items():
         g = grads[name]
         if g.shape != w.shape:
             raise ValueError(f"{name}: gradient shape {g.shape} != weight {w.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g**2
-        w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g**2
+        w -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return weights, state
 
 
@@ -104,7 +102,7 @@ class Sample:
 
     fringe: np.ndarray
     encoding: OrientationEncoding
-    fo: OrientationMap | None = None
+    fo: OrientationMap
 
 
 def load_samples(dataset_dir) -> list[Sample]:
@@ -128,10 +126,8 @@ def evaluate_model(weights: ModelWeights, samples: list[Sample]):
     for sample in samples:
         pred = forward(weights, sample.fringe)
         losses.append(loss_mse(pred, sample.encoding))
-        if sample.fo is not None:
-            oes.append(orientation_error(decode_orientation(pred), sample.fo))
-    mean_oe = float(np.mean(oes)) if oes else float("nan")
-    return float(np.mean(losses)), mean_oe
+        oes.append(orientation_error(decode_orientation(pred), sample.fo))
+    return float(np.mean(losses)), float(np.mean(oes))
 
 
 @dataclass
@@ -146,12 +142,11 @@ def train(
     val_set: list[Sample],
     net_cfg: NetworkConfig,
     train_cfg: TrainConfig,
-    init_seed: int | None = None,
 ) -> TrainResult:
     """Seeded epoch loop; returns the best-validation weights and the history.
 
-    Item order within an epoch (and therefore the whole trajectory) is fixed
-    by shuffle_seed; init_seed defaults to a SplitMix64 derivation of it.
+    shuffle_seed fixes the whole trajectory: the initial weights come from
+    its SplitMix64 derivation, and the item order within each epoch from it.
     """
     if not train_set or not val_set:
         raise ValueError("training and validation sets must be non-empty")
@@ -161,9 +156,7 @@ def train(
             raise ValueError("all dataset images must share one size")
     net_cfg.check_input_shape(shape)
 
-    if init_seed is None:
-        init_seed = splitmix64(train_cfg.shuffle_seed)
-    weights = build_network(net_cfg, init_seed)
+    weights = build_network(net_cfg, splitmix64(train_cfg.shuffle_seed))
     state = AdamState.for_weights(weights)
     rng = np.random.Generator(np.random.PCG64(train_cfg.shuffle_seed))
 

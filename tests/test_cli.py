@@ -89,9 +89,18 @@ IMPOSSIBLE_OPTIONS = {
     "train-batch-size-0": ["train", "--dataset", "{ds}", "--batch-size", "0",
                            "--out", "{t}/m.fpaw"],
     "train-paths-9": ["train", "--dataset", "{ds}", "--paths", "9", "--out", "{t}/m.fpaw"],
-    **{f"orient-classic-{flag[2:]}-{value}": ["orient-classic", "--input", "{img}", flag,
-                                               value, "--out", "{t}/fo.fpai"]
-       for flag in ("--smooth-sigma", "--background-sigma")
+    **{f"benchmark-a-values-{value}": ["benchmark", "--a-values", value,
+                                        "--out", "{t}/r.csv"]
+       for value in ("-1", "nan", "inf")},
+    "benchmark-noise-std-inf": ["benchmark", "--noise-std", "inf", "--out", "{t}/r.csv"],
+    "simulate-a-inf": ["simulate", "--mode", "object", "--a", "inf", "--out", "{t}/o.fpai"],
+    **{f"simulate-{mode}-noise-std-inf": ["simulate", "--mode", mode, "--noise-std", "inf",
+                                          "--out", "{t}/sim"]
+       for mode in ("object", "dataset")},
+    # --smooth-sigma is gone (prefilter fixes its denoise scale), so a value
+    # that never worked stays a usage error that writes nothing
+    **{f"orient-classic-smooth-sigma-{value}": ["orient-classic", "--input", "{img}",
+                                                "--smooth-sigma", value, "--out", "{t}/fo.fpai"]
        for value in ("0", "-1", "nan", "inf")},
     **{f"train-val-fraction-{value}": ["train", "--dataset", "{ds}", "--val-fraction", value,
                                        "--out", "{t}/m.fpaw"]
@@ -154,12 +163,32 @@ class TestExitCodes:
                      id="orient-classic-exclude-border"),
         pytest.param(lambda obj, t: ["evaluate", "--pred", obj, "--ref", obj, "--json"],
                      id="evaluate-json"),
+        pytest.param(lambda obj, t: ["orient-classic", "--input", obj, "--out", t / "fo.fpai",
+                                     "--smooth-sigma", "0.5"],
+                     id="orient-classic-smooth-sigma"),
+        pytest.param(lambda obj, t: ["orient-classic", "--input", obj, "--out", t / "fo.fpai",
+                                     "--background-sigma", "4"],
+                     id="orient-classic-background-sigma"),
     ])
     def test_removed_flag_is_usage_error(self, tmp_path, peaks_object, argv):
         with pytest.raises(SystemExit) as exc:
             run(*argv(peaks_object, tmp_path))
         assert exc.value.code == 2
         assert not (tmp_path / "fo.fpai").exists()
+
+    def test_sample_float32_cannot_hold_is_one_error_line(self, tmp_path):
+        # a finite blob amplitude whose phase map overflows float32
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fringeproc.cli",
+             "simulate", "--mode", "object", "--object", "blob", "--a", "1e308",
+             "--rows", "32", "--cols", "32", "--out", str(tmp_path / "o.fpai")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "o_phase.fpai" in lines[0]
+        assert not (tmp_path / "o_phase.fpai").exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "--mode", "object", "--rows", "16", "--cols", "16",
@@ -726,3 +755,17 @@ def test_every_command_records_one_manifest(case, tmp_path, peaks_object, tiny_m
                  argv[argv.index("--out") + 1] if argv[0] == "train" else None)
     if model is not None:
         assert manifest["model_sha256"] == hashlib.sha256(Path(model).read_bytes()).hexdigest()
+
+
+@pytest.mark.slow
+def test_payload_hash_listing_is_reproducible(tmp_path):
+    # the listing is the byte-identity check between two checkouts, so two
+    # runs of one checkout must agree on every payload
+    script = Path(__file__).with_name("payload_hashes.py")
+    listings = [subprocess.run([sys.executable, str(script), str(tmp_path / name)],
+                               capture_output=True, text=True, check=True).stdout
+                for name in ("a", "b")]
+    assert listings[0] == listings[1]
+    paths = [line.split("  ", 1)[1] for line in listings[0].splitlines()]
+    assert {"model.fpaw", "sweep.csv", "fo_cpfg.fpai", "fo_net.fpai",
+            "pipeline_peaks/phase.fpai", "pipeline_blob/phase.fpai"} <= set(paths)

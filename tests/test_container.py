@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fringeproc.container import (
     HEADER,
@@ -102,6 +105,29 @@ def test_non_finite_rejected_on_write(tmp_path):
     bad[0, 0] = np.inf
     with pytest.raises(NonFiniteSampleError):
         write_container(tmp_path / "x.fpai", bad)
+
+
+@pytest.fixture(scope="module")
+def write_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("write")
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=arrays(np.float64, array_shapes(min_dims=2, max_dims=3, max_side=4),
+                  elements=st.floats(width=64)))
+@example(arr=np.full((4, 4), 1e39))  # finite, but beyond float32's range
+def test_write_stores_the_float32_cast_or_nothing(write_dir, arr):
+    path = write_dir / "x.fpai"
+    path.unlink(missing_ok=True)
+    with np.errstate(over="ignore"):
+        want = arr.astype("<f4")
+    if np.isfinite(want).all():
+        write_container(path, arr)
+        assert read_container(path).astype("<f4").tobytes() == want.tobytes()
+    else:
+        with pytest.raises(NonFiniteSampleError):
+            write_container(path, arr)
+        assert list(write_dir.iterdir()) == []
 
 
 def test_sidecar_round_trip(tmp_path):

@@ -12,6 +12,7 @@ from fringeproc import network
 from fringeproc.errors import (
     BadMagicError,
     HeaderError,
+    NonFiniteSampleError,
     ShapeAuditError,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -658,6 +659,14 @@ class TestWeightsFile:
         path.write_bytes(swapped)
         with pytest.raises(ShapeAuditError):
             load_weights(path)
+
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+    def test_weight_float32_cannot_hold_is_refused(self, tmp_path, value):
+        w = self._float32_weights()
+        w.tensors["final.w"][0, 0, 1, 1] = value
+        with pytest.raises(NonFiniteSampleError):
+            save_weights(w, tmp_path / "m.fpaw")
+        assert list(tmp_path.iterdir()) == []
 
     def test_audit_catches_wrong_shape(self):
         w = build_network(TINY, 0)

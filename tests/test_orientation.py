@@ -92,44 +92,29 @@ class TestPrefilter:
             fringe = add_gaussian_noise(render_fringe(phase), 0.1, seed=int(rng.integers(1 << 30)))
             assert estimate_dominant_period(fringe) == full_spectrum_period(fringe)
 
-    def test_explicit_background_sigma_uses_blur_recipe(self):
-        # a slowly varying background is removed by the literal blur path
-        fringe, _ = carrier_fringe((64, 64), 8.0, 0.3)
-        y, x = np.mgrid[0:64, 0:64] / 64.0
-        background = 2.0 + 1.5 * x + y
-        out = prefilter(fringe + background, background_sigma=4.0)
-        assert abs(out.mean()) < 0.05
-        inner = out[8:-8, 8:-8]
-        assert 0.7 < np.percentile(np.abs(inner), 95) < 1.3
-
     def test_approximately_unit_amplitude(self):
         fringe, _ = carrier_fringe((64, 64), 14.0, 0.3)
         out = prefilter(0.37 * fringe + 1.5)
         interior = out[8:-8, 8:-8]
         assert 0.8 < np.percentile(np.abs(interior), 95) < 1.2
 
-    @pytest.mark.parametrize("shape,background_sigma", [
-        ((256, 256), None),  # background blur at 2T = 28
-        ((96, 256), None),  # global-mean background, envelope at the cap
-        ((48, 80), 4.0),
+    @pytest.mark.parametrize("shape,background", [
+        ((256, 256), "blur"),  # background blur at 2T = 28
+        ((96, 256), "mean"),  # global-mean background, envelope at the cap
     ])
-    def test_matches_direct_blur_recipe(self, shape, background_sigma):
+    def test_matches_direct_blur_recipe(self, shape, background):
         # the same recipe with every blur by the direct gaussian_blur
         phase = gen_peaks_phase(max(shape), 1.2)[: shape[0], : shape[1]]
         phase = phase + gen_carrier(shape, CarrierSpec(14.0, 0.7))
         img = add_gaussian_noise(render_fringe(phase), 0.05, seed=4) + 2.0
-        sigma = background_sigma
-        if sigma is None:
-            sigma = 2.0 * estimate_dominant_period(img)
-            cap = min(shape) / 8.0
-            background = gaussian_blur(img, sigma) if sigma <= cap else img.mean()
-            sigma = min(sigma, cap)
-        else:
-            background = gaussian_blur(img, sigma)
-        s = img - background
+        sigma = 2.0 * estimate_dominant_period(img)
+        cap = min(shape) / 8.0
+        assert (sigma <= cap) == (background == "blur")
+        s = img - (gaussian_blur(img, sigma) if sigma <= cap else img.mean())
+        sigma = min(sigma, cap)
         s = s / np.maximum(1e-6, gaussian_blur(np.abs(s), sigma) * (np.pi / 2.0))
         want = gaussian_blur(s, 0.5)
-        assert np.abs(prefilter(img, background_sigma) - want).max() < 1e-13
+        assert np.abs(prefilter(img) - want).max() < 1e-13
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # the wide blurs are BLAS products; their bytes must not follow the

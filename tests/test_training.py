@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fringeproc.maps import OrientationEncoding
+from fringeproc.maps import OrientationEncoding, OrientationMap
 from fringeproc.network import NetworkConfig, build_network
 from fringeproc.simulate import DatasetManifest, make_dataset
 from fringeproc.training import (
@@ -148,7 +148,9 @@ class TestTrainLoop:
         rng = np.random.default_rng(0)
         bad = Sample(fringe=rng.standard_normal((32, 32)),
                      encoding=OrientationEncoding(sin2=np.zeros((32, 32)),
-                                                  cos2=np.ones((32, 32))))
+                                                  cos2=np.ones((32, 32))),
+                     fo=OrientationMap(angles=np.zeros((32, 32)),
+                                       valid=np.ones((32, 32), dtype=bool)))
         with pytest.raises(ValueError, match="one size"):
             train(trn + [bad], val, TINY, TrainConfig(shuffle_seed=0))
 
