@@ -14,13 +14,19 @@ the outputs byte-identically. --json-report writes the same JSON to a file or,
 with '-', to stdout; the one-line progress message goes to stderr, so stdout
 stays valid JSON. ``evaluate`` writes no file; it prints its report as one
 ``key=value`` line, or as JSON through --json-report. Every file goes through
-``container.write_atomic`` (temp file + rename), so none is left truncated.
+``container.write_atomic`` (temp file + rename), so none is left truncated,
+and ``_record`` checks every image before it writes the first, so an image
+FPAI cannot store leaves no output behind. ``benchmark`` runs the reference
+sweep geometry (``SWEEP_CARRIER``, ``SWEEP_WINDOW``); ``train`` validates on
+the --val-fraction tail of its dataset at batch size 1.
 FRINGEPROC_THREADS caps benchmark parallelism (default 1; a value that is not
 a positive integer is a usage error, as is an unknown --methods name or a
 sweep with no cases). So is any option value that can never work, such as
 --window 1 or --rows 0: each command builds its specs from the options first,
 so such a value exits 2 before any file is written. Commands raise; ``main``
 alone maps an exception to its exit code and prints it as one ``error:`` line.
+``main`` runs the command with numpy's ``RuntimeWarning`` raised as an error,
+so an overflow is such a line (exit 4), never a warning with its source line.
 """
 
 from __future__ import annotations
@@ -33,13 +39,15 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .container import (read_container, read_encoding, read_orientation, read_sidecar,
-                         single_channel, write_atomic, write_container, write_json)
+from .container import (encode_samples, read_container, read_encoding, read_orientation,
+                         read_sidecar, single_channel, write_atomic, write_container,
+                         write_json)
 from .errors import FormatError, NumericalError
 from .hst import demodulate
 from .image import MIN_ESTIMATOR_SIZE
@@ -70,6 +78,11 @@ EXIT_NUMERICAL = 4
 # the classical orientation estimators, by their --method / --methods name
 ESTIMATORS = {"gradient": gradient_orientation, "cpfg": cpfg_orientation}
 
+# the benchmark sweep's one geometry, the reference protocol's: a 14 px
+# carrier at azimuth 0, estimated with 2x2 windows
+SWEEP_CARRIER = CarrierSpec(14.0, 0.0)
+SWEEP_WINDOW = WindowSpec(2)
+
 
 class UsageError(Exception):
     """Arguments that parse but do not fit together (exit 2, as argparse)."""
@@ -97,9 +110,12 @@ def _record(args, manifest_path, message: str, images=(), files=(), **fields) ->
     Writes each ``(path, array, meta)`` image as FPAI with the sidecar
     ``{"seed", "params", **meta}``, then the manifest listing every image and
     every already-written path in ``files`` under ``outputs``, then the report
-    and the progress line.
+    and the progress line. Every image is checked before the first is written,
+    so an image FPAI cannot store leaves none of them behind.
     """
     recorded = {k: v for k, v in vars(args).items() if k not in ("func", "json_report")}
+    for path, data, _ in images:
+        encode_samples(data, path)
     for path, data, meta in images:
         write_container(path, data, meta={"seed": args.seed, "params": recorded, **meta})
     if getattr(args, "model", None):  # every command that reads a model
@@ -206,16 +222,12 @@ def cmd_train(args) -> int:
     net_cfg = _usage(NetworkConfig, paths=args.paths, filters=args.filters,
                      blocks_per_path=args.blocks)
     train_cfg = _usage(TrainConfig, initial_lr=args.lr, epochs=args.epochs,
-                       batch_size=args.batch_size, shuffle_seed=args.seed)
+                       shuffle_seed=args.seed)
     samples = load_samples(args.dataset)
-    if args.val_dataset:
-        val = load_samples(args.val_dataset)
-        trn = samples
-    else:
-        n_val = max(1, int(round(len(samples) * args.val_fraction)))
-        if n_val >= len(samples):
-            raise NumericalError("validation split leaves no training items")
-        trn, val = samples[:-n_val], samples[-n_val:]
+    n_val = max(1, int(round(len(samples) * args.val_fraction)))
+    if n_val >= len(samples):
+        raise NumericalError("validation split leaves no training items")
+    trn, val = samples[:-n_val], samples[-n_val:]
     result = train(trn, val, net_cfg, train_cfg)
     save_weights(result.weights, args.out)
     history_path = str(args.out) + ".history.json"
@@ -289,6 +301,8 @@ def cmd_evaluate(args) -> int:
             valid_pixel_fraction=valid_fraction(pred, ref, border),
         )
     elif args.metric == "rmse-sin":
+        if border:
+            raise UsageError("--metric rmse-sin scores every pixel: --exclude-border must be 0")
         r_sin, r_cos = rmse_channels(read_encoding(args.pred), read_encoding(args.ref))
         report = EvalReport(method=str(args.pred), rmse_sin=r_sin, rmse_cos=r_cos,
                             excluded_border=0)
@@ -309,12 +323,12 @@ def cmd_evaluate(args) -> int:
 # benchmark sweep (Fig. 5(a)-style)
 
 
-def _benchmark_case(args, carrier, window, weights, case):
+def _benchmark_case(args, weights, case):
     """One sweep case (a, noise_std, rep, seed): simulate, prefilter, run each
     method, return OE rows."""
     a, noise_std, rep, case_seed = case
     size = args.size
-    phase = gen_peaks_phase(size, a) + gen_carrier((size, size), carrier)
+    phase = gen_peaks_phase(size, a) + gen_carrier((size, size), SWEEP_CARRIER)
     fringe = add_gaussian_noise(render_fringe(phase), noise_std, seed=case_seed)
     gt = ground_truth_orientation(phase)
     pre = prefilter(fringe)
@@ -323,7 +337,7 @@ def _benchmark_case(args, carrier, window, weights, case):
         if method == "deeporient":
             fo = infer_orientation(weights, pre)
         else:
-            fo = ESTIMATORS[method](pre, window)
+            fo = ESTIMATORS[method](pre, SWEEP_WINDOW)
         oe = orientation_error(fo, gt, exclude_border=args.exclude_border)
         rows.append({"a": a, "noise_std": noise_std, "method": method,
                      "seed": case_seed, "oe": oe})
@@ -360,21 +374,17 @@ def cmd_benchmark(args) -> int:
                          "and --reps must be positive")
     if "deeporient" in args.methods and not args.model:
         raise UsageError("method deeporient requires --model")
-    shape = (args.size, args.size)
-    carrier = _usage(CarrierSpec, args.period, args.theta)
-    window = _usage(WindowSpec, args.window)
-    _usage(window.check_fits, shape)
     if 2 * args.exclude_border >= args.size:
         raise UsageError(f"--exclude-border {args.exclude_border} leaves no pixels "
                          f"of a {args.size} px grid")
     # loaded once, and before any case runs so a bad file fails early
     weights = load_weights(args.model) if args.model else None
     if weights and "deeporient" in args.methods:
-        _usage(weights.config.check_input_shape, shape)
+        _usage(weights.config.check_input_shape, (args.size, args.size))
 
     if args.emit_error_maps:
         Path(args.emit_error_maps).mkdir(parents=True, exist_ok=True)
-    run_case = functools.partial(_benchmark_case, args, carrier, window, weights)
+    run_case = functools.partial(_benchmark_case, args, weights)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -482,14 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the orientation network")
     common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--val-dataset")
     p.add_argument("--val-fraction", default=0.2,
                    type=_number(float, lambda v: 0 < v < 1, "strictly between 0 and 1"))
     p.add_argument("--paths", type=int, default=2)
     p.add_argument("--filters", type=int, default=16)
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -545,9 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--size", type=_at_least(MIN_ESTIMATOR_SIZE), default=512,
                    help="sweep grid side (512 reproduces the reference geometry)")
-    p.add_argument("--period", type=float, default=14.0)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--window", type=int, default=2)
     p.add_argument("--exclude-border", type=_at_least(0), default=8)
     p.add_argument("--emit-error-maps", metavar="DIR",
                    help="also write |sin 2FO - sin 2FO_gt| maps here")
@@ -569,14 +574,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a numpy overflow is an error line, not a warning
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericalError, ValueError, MemoryError) as exc:
+    except (NumericalError, ValueError, MemoryError, RuntimeWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -31,6 +31,23 @@ def exit_code(*argv):
         return exc.code
 
 
+def one_error_line(tmp_path, code, *argv):
+    """Run the CLI as a user does (no -W flag) in tmp_path; assert exit ``code``,
+    a stderr of one ``error:`` line with no warning or traceback, and no new
+    file (a new empty directory is allowed). Returns the error line."""
+    before = {p for p in tmp_path.rglob("*") if p.is_file()}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fringeproc.cli", *map(str, argv)], cwd=tmp_path,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert {p for p in tmp_path.rglob("*") if p.is_file()} == before
+    return lines[0]
+
+
 @pytest.fixture()
 def tiny_model(tmp_path):
     path = tmp_path / "tiny.fpaw"
@@ -74,9 +91,6 @@ IMPOSSIBLE_OPTIONS = {
                                 "--out", "{t}/fo.fpai"],
     "orient-classic-window-1": ["orient-classic", "--input", "{img}", "--window", "1",
                                 "--out", "{t}/fo.fpai"],
-    "benchmark-window-0": ["benchmark", "--window", "0", "--out", "{t}/r.csv"],
-    "benchmark-window-1": ["benchmark", "--window", "1", "--out", "{t}/r.csv"],
-    "benchmark-period-0": ["benchmark", "--period", "0", "--out", "{t}/r.csv"],
     "benchmark-size-4": ["benchmark", "--size", "4", "--out", "{t}/r.csv"],
     "benchmark-border-fills-grid": ["benchmark", "--size", "16", "--exclude-border", "8",
                                     "--emit-error-maps", "{t}/maps", "--out", "{t}/r.csv"],
@@ -84,10 +98,12 @@ IMPOSSIBLE_OPTIONS = {
                                       "--emit-error-maps", "{t}/maps", "--out", "{t}/r.csv"],
     "evaluate-exclude-border--3": ["evaluate", "--pred", "{img}", "--ref", "{img}",
                                    "--exclude-border", "-3"],
+    # rmse-sin scores whole encodings, so any border would be silently ignored
+    "evaluate-rmse-sin-exclude-border-4": [
+        "evaluate", "--metric", "rmse-sin", "--pred", "{ds}/item_0000_encoding.fpai",
+        "--ref", "{ds}/item_0001_encoding.fpai", "--exclude-border", "4"],
     "train-epochs-0": ["train", "--dataset", "{ds}", "--epochs", "0", "--out", "{t}/m.fpaw"],
     "train-lr--1": ["train", "--dataset", "{ds}", "--lr", "-1", "--out", "{t}/m.fpaw"],
-    "train-batch-size-0": ["train", "--dataset", "{ds}", "--batch-size", "0",
-                           "--out", "{t}/m.fpaw"],
     "train-paths-9": ["train", "--dataset", "{ds}", "--paths", "9", "--out", "{t}/m.fpaw"],
     **{f"benchmark-a-values-{value}": ["benchmark", "--a-values", value,
                                         "--out", "{t}/r.csv"]
@@ -157,38 +173,69 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
+    # each removed flag with a value that worked before it went (a small sweep
+    # and a one-epoch run, so the command would finish if the flag still parsed)
     @pytest.mark.parametrize("argv", [
-        pytest.param(lambda obj, t: ["orient-classic", "--input", obj, "--out", t / "fo.fpai",
-                                     "--exclude-border", "4"],
+        pytest.param(lambda obj, t, ds: ["orient-classic", "--input", obj,
+                                         "--out", t / "fo.fpai", "--exclude-border", "4"],
                      id="orient-classic-exclude-border"),
-        pytest.param(lambda obj, t: ["evaluate", "--pred", obj, "--ref", obj, "--json"],
+        pytest.param(lambda obj, t, ds: ["evaluate", "--pred", obj, "--ref", obj, "--json"],
                      id="evaluate-json"),
-        pytest.param(lambda obj, t: ["orient-classic", "--input", obj, "--out", t / "fo.fpai",
-                                     "--smooth-sigma", "0.5"],
+        pytest.param(lambda obj, t, ds: ["orient-classic", "--input", obj,
+                                         "--out", t / "fo.fpai", "--smooth-sigma", "0.5"],
                      id="orient-classic-smooth-sigma"),
-        pytest.param(lambda obj, t: ["orient-classic", "--input", obj, "--out", t / "fo.fpai",
-                                     "--background-sigma", "4"],
+        pytest.param(lambda obj, t, ds: ["orient-classic", "--input", obj,
+                                         "--out", t / "fo.fpai", "--background-sigma", "4"],
                      id="orient-classic-background-sigma"),
+        *[pytest.param(lambda obj, t, ds, flag=flag, value=value: [
+            "benchmark", "--a-values", "1", "--noise-std", "0", "--reps", "1", "--size", "16",
+            "--exclude-border", "2", flag, value, "--out", t / "r.csv"],
+            id=f"benchmark-{flag[2:]}")
+          for flag, value in (("--period", "14"), ("--theta", "0"), ("--window", "2"))],
+        pytest.param(lambda obj, t, ds: ["train", "--dataset", ds, "--epochs", "1",
+                                         "--filters", "2", "--blocks", "1",
+                                         "--batch-size", "1", "--out", t / "m.fpaw"],
+                     id="train-batch-size"),
+        pytest.param(lambda obj, t, ds: ["train", "--dataset", ds, "--epochs", "1",
+                                         "--filters", "2", "--blocks", "1",
+                                         "--val-dataset", ds, "--out", t / "m.fpaw"],
+                     id="train-val-dataset"),
     ])
     def test_removed_flag_is_usage_error(self, tmp_path, peaks_object, argv):
+        ds = _dataset(tmp_path)
+        before = set(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exc:
-            run(*argv(peaks_object, tmp_path))
+            run(*argv(peaks_object, tmp_path, ds))
         assert exc.value.code == 2
-        assert not (tmp_path / "fo.fpai").exists()
+        assert set(tmp_path.rglob("*")) == before
 
     def test_sample_float32_cannot_hold_is_one_error_line(self, tmp_path):
-        # a finite blob amplitude whose phase map overflows float32
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fringeproc.cli",
-             "simulate", "--mode", "object", "--object", "blob", "--a", "1e308",
-             "--rows", "32", "--cols", "32", "--out", str(tmp_path / "o.fpai")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
-        )
-        assert proc.returncode == 3
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert "o_phase.fpai" in lines[0]
-        assert not (tmp_path / "o_phase.fpai").exists()
+        # a finite blob amplitude whose phase map overflows float32; the
+        # fringe before it in the write order (o.fpai, o.json) is not written
+        # either, which one_error_line's no-new-file check asserts
+        assert "o_phase.fpai" in one_error_line(
+            tmp_path, 3, "simulate", "--mode", "object", "--object", "blob", "--a", "1e308",
+            "--rows", "32", "--cols", "32", "--out", "o.fpai")
+
+    def test_unstorable_peaks_object_writes_nothing(self, tmp_path):
+        # the fringe (cos of the phase) stores fine; its phase ground truth
+        # does not, so nothing at all is written
+        assert "o_phase.fpai" in one_error_line(
+            tmp_path, 3, "simulate", "--mode", "object", "--object", "peaks", "--a", "1e300",
+            "--rows", "16", "--cols", "16", "--out", "o.fpai")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--mode", "object", "--object", "peaks", "--a", "1e308",
+                      "--rows", "16", "--cols", "16", "--out", "o.fpai"], id="simulate-object"),
+        pytest.param(["benchmark", "--a-values", "1e308", "--noise-std", "0", "--reps", "1",
+                      "--size", "16", "--exclude-border", "2", "--out", "r.csv"],
+                     id="benchmark"),
+        # make_dataset creates the directory before the first item overflows
+        pytest.param(["simulate", "--mode", "dataset", "--noise-std", "1e308", "--count", "2",
+                      "--rows", "16", "--cols", "16", "--out", "ds"], id="simulate-dataset"),
+    ])
+    def test_overflow_warning_is_one_error_line(self, tmp_path, argv):
+        assert "overflow" in one_error_line(tmp_path, 4, *argv)
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "--mode", "object", "--rows", "16", "--cols", "16",
