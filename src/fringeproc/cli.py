@@ -17,13 +17,12 @@ stays valid JSON. ``evaluate`` writes no file; it prints its report as one
 ``container.write_atomic`` (temp file + rename), so none is left truncated,
 and ``_record`` checks every image before it writes the first, so an image
 FPAI cannot store leaves no output behind. ``benchmark`` runs the reference
-sweep geometry (``SWEEP_CARRIER``, ``SWEEP_WINDOW``); ``train`` validates on
-the --val-fraction tail of its dataset at batch size 1.
-FRINGEPROC_THREADS caps benchmark parallelism (default 1; a value that is not
-a positive integer is a usage error, as is an unknown --methods name or a
-sweep with no cases). So is any option value that can never work, such as
---window 1 or --rows 0: each command builds its specs from the options first,
-so such a value exits 2 before any file is written. Commands raise; ``main``
+sweep geometry (``SWEEP_CARRIER``, ``SWEEP_WINDOW``) one case after another;
+``train`` validates on the --val-fraction tail of its dataset at batch size 1.
+An unknown --methods name or a sweep with no cases is a usage error, and so is
+any option value that can never work, such as --window 1, --rows 0 or a
+non-finite --lr: each command builds its specs from the options first, so such
+a value exits 2 before any file is written. Commands raise; ``main``
 alone maps an exception to its exit code and prints it as one ``error:`` line.
 ``main`` runs the command with numpy's ``RuntimeWarning`` raised as an error,
 so an overflow is such a line (exit 4), never a warning with its source line.
@@ -32,12 +31,10 @@ so an overflow is such a line (exit 4), never a warning with its source line.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import io
 import itertools
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -351,22 +348,9 @@ def _benchmark_case(args, weights, case):
     return rows
 
 
-def _benchmark_workers() -> int:
-    """FRINGEPROC_THREADS as a positive worker count (default 1)."""
-    text = os.environ.get("FRINGEPROC_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"FRINGEPROC_THREADS must be a positive integer, got {text!r}")
-    return workers
-
-
 def cmd_benchmark(args) -> int:
     import csv  # only the sweep writes CSV, so other commands start without it
 
-    workers = _benchmark_workers()
     cases = [(a, noise_std, rep, derive_seed(args.seed, i)) for i, (a, noise_std, rep)
              in enumerate(itertools.product(args.a_values, args.noise_std, range(args.reps)))]
     if not cases:
@@ -384,27 +368,18 @@ def cmd_benchmark(args) -> int:
 
     if args.emit_error_maps:
         Path(args.emit_error_maps).mkdir(parents=True, exist_ok=True)
-    run_case = functools.partial(_benchmark_case, args, weights)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep loads it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(run_case, cases))
-    else:
-        all_rows = list(map(run_case, cases))
+    rows = [row for case in cases for row in _benchmark_case(args, weights, case)]
 
     out = Path(args.out)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["a", "noise_std", "method", "seed", "oe"])
     writer.writeheader()
-    for rows in all_rows:
-        for row in rows:
-            writer.writerow(row)
+    writer.writerows(rows)
     write_atomic(out, buf.getvalue().encode())
 
-    n_rows = sum(len(r) for r in all_rows)
-    return _record(args, str(out) + ".manifest.json", f"wrote {n_rows} rows to {out}",
+    return _record(args, str(out) + ".manifest.json", f"wrote {len(rows)} rows to {out}",
                    files=[out] + ([args.emit_error_maps] if args.emit_error_maps else []),
-                   cases=len(cases), rows=n_rows)
+                   cases=len(cases), rows=len(rows))
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ manifest base seed through SplitMix64.
 from __future__ import annotations
 
 import numbers
+import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -290,18 +291,28 @@ def simulate_item(manifest: DatasetManifest, index: int):
 
 
 def make_dataset(manifest: DatasetManifest, out_dir) -> Path:
-    """Write the corpus described by the manifest; returns the manifest path."""
+    """Write the corpus described by the manifest; returns the manifest path.
+
+    If the call fails, the directories it created are removed with everything
+    in them; a directory that already existed keeps the items written before
+    the failure."""
     out_dir = Path(out_dir)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    for item in manifest.items:
-        fringe, enc, fo, params = simulate_item(manifest, item["index"])
-        images = (("fringe", fringe, "fringe"), ("encoding", enc.to_array(), "encoding"),
-                  ("fo", fo.angles, "orientation"))
-        for key, data, kind in images:
-            write_container(out_dir / item[key], data,
-                            meta={"kind": kind, "seed": item["seed"], "params": params})
-    manifest_path = out_dir / "manifest.json"
-    write_json(manifest_path, manifest.to_json())
+    try:
+        for item in manifest.items:
+            fringe, enc, fo, params = simulate_item(manifest, item["index"])
+            images = (("fringe", fringe, "fringe"), ("encoding", enc.to_array(), "encoding"),
+                      ("fo", fo.angles, "orientation"))
+            for key, data, kind in images:
+                write_container(out_dir / item[key], data,
+                                meta={"kind": kind, "seed": item["seed"], "params": params})
+        manifest_path = out_dir / "manifest.json"
+        write_json(manifest_path, manifest.to_json())
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
     return manifest_path
 
 

@@ -37,13 +37,15 @@ class TrainConfig:
     lr_drop_factor: float = 5.0
     lr_drop_period_epochs: int = 5
     epochs: int = 30
-    batch_size: int = 1
+    batch_size: int = 1  # train takes one Adam step per image; any other value is rejected
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if min(self.initial_lr, self.lr_drop_factor, self.lr_drop_period_epochs,
-               self.epochs, self.batch_size) <= 0:
-            raise ValueError("all training parameters must be positive")
+        rates = (self.initial_lr, self.lr_drop_factor, self.lr_drop_period_epochs, self.epochs)
+        if not all(0 < value < np.inf for value in rates):
+            raise ValueError("all training parameters must be finite and positive")
+        if self.batch_size != 1:
+            raise ValueError(f"batch_size must be 1, got {self.batch_size}")
 
     def lr_for_epoch(self, epoch: int) -> float:
         """Learning rate of a 1-based epoch: dropped after each full period."""
@@ -143,7 +145,8 @@ def train(
     net_cfg: NetworkConfig,
     train_cfg: TrainConfig,
 ) -> TrainResult:
-    """Seeded epoch loop; returns the best-validation weights and the history.
+    """Seeded epoch loop, one backward pass and one Adam step per training
+    image; returns the best-validation weights and the history.
 
     shuffle_seed fixes the whole trajectory: the initial weights come from
     its SplitMix64 derivation, and the item order within each epoch from it.
@@ -164,27 +167,14 @@ def train(
     best = weights.copy()
     best_loss = np.inf
     best_epoch = 0
-    bs = train_cfg.batch_size
     for epoch in range(1, train_cfg.epochs + 1):
         lr = train_cfg.lr_for_epoch(epoch)
-        order = rng.permutation(len(train_set))
         epoch_losses = []
-        for start in range(0, len(order), bs):
-            chunk = order[start : start + bs]
-            grads_sum = None
-            for idx in chunk:
-                sample = train_set[idx]
-                grads, loss, _ = backward(weights, sample.fringe, sample.encoding)
-                epoch_losses.append(loss)
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for name in grads_sum:
-                        grads_sum[name] += grads[name]
-            if len(chunk) > 1:
-                for name in grads_sum:
-                    grads_sum[name] /= len(chunk)
-            adam_step(weights, grads_sum, state, lr)
+        for idx in rng.permutation(len(train_set)):
+            sample = train_set[idx]
+            grads, loss, _ = backward(weights, sample.fringe, sample.encoding)
+            epoch_losses.append(loss)
+            adam_step(weights, grads, state, lr)
         val_loss, val_oe = evaluate_model(weights, val_set)
         history.append(
             {

@@ -21,7 +21,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
-os.environ["FRINGEPROC_THREADS"] = "1"
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402

@@ -440,6 +440,18 @@ class TestDataset:
         assert not (tmp_path / "ds" / "manifest.json").exists()
         assert not list((tmp_path / "ds").glob("*.tmp"))
 
+    def test_failed_dataset_removes_only_the_directories_it_created(self, tmp_path):
+        # noise float32 cannot hold fails the first fringe
+        manifest = DatasetManifest(base_seed=3, count=2, rows=16, cols=16, noise_std=1e39)
+        with pytest.raises(FormatError, match="float32"):
+            make_dataset(manifest, tmp_path / "new" / "ds")
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "keep.txt").write_text("kept")
+        with pytest.raises(FormatError, match="float32"):
+            make_dataset(manifest, tmp_path / "old")
+        assert [p.name for p in (tmp_path / "old").iterdir()] == ["keep.txt"]
+
     def test_derived_seeds_are_stable(self):
         # the documented SplitMix64 mixing must not drift between runs
         assert derive_seed(0, 0) == derive_seed(0, 0)
