@@ -5,6 +5,13 @@ the unit spiral S(u,v) = (u + i*v)/|u + i*v| and corrected by the local fringe
 direction yields the quadrature -b*sin(phi); the wrapped phase then follows
 from a four-quadrant arctangent and unwraps to a continuous estimate.
 
+The signal is real, so its spectrum is carried on the real FFT's half plane,
+and the spiral filter acts there through its Hermitian and anti-Hermitian
+parts, which give the real and imaginary parts of the vortex; on an even
+grid's Nyquist row and column they take the exact mirror formula (see
+``_half_plane_factors``). Larkin, Bone & Oldfield (JOSA A 18(8), 2001)
+define the transform.
+
 The direction maps here use the repo convention beta = atan2(dphi/dx, dphi/dy);
 for that convention the correcting phase factor is exp(i*beta) (verified
 against the analytic carrier quadrature; adding pi to beta flips the sign of
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import MIN_ESTIMATOR_SIZE, as_real_image, fft2, ifft2
+from .image import MIN_ESTIMATOR_SIZE, as_real_image
 from .unwrap import unwrap_phase_2d
 
 QUADRATURE_MEAN_WARN = 0.05
@@ -26,7 +33,8 @@ def make_spiral_filter(rows: int, cols: int) -> np.ndarray:
     """S(u,v) = (u + i*v)/sqrt(u^2 + v^2) over signed integer frequency bins.
 
     Bin layout matches fft2 (DC at [0, 0], negative frequencies in the upper
-    halves); S(0,0) = 0 removes the singular DC bin.
+    halves); S(0,0) = 0 removes the singular DC bin. ``quadrature`` applies
+    this filter through its half-plane parts (``_half_plane_factors``).
     """
     n = MIN_ESTIMATOR_SIZE
     if rows < n or cols < n:
@@ -42,14 +50,51 @@ def make_spiral_filter(rows: int, cols: int) -> np.ndarray:
     return spiral
 
 
+def _half_plane_factors(rows: int, cols: int):
+    """The Hermitian and anti-Hermitian parts of the spiral filter on the
+    real FFT's half plane (columns 0 .. cols // 2), as (H, -i * A).
+
+    With S' the filter at the mirrored bin (-k mod the grid), H = (S +
+    conj(S')) / 2 and A = (S - conj(S')) / 2, so for a real signal's
+    spectrum F, H * F and -i * A * F are the spectra of the real and the
+    imaginary part of ifft2(S * F). Off the Nyquist lines the mirror negates
+    both frequencies, and the factors are i * v / r and -i * u / r. On an
+    even grid's Nyquist row (v = -rows / 2) and column (u = -cols / 2) the
+    mirror keeps that frequency, and the same formula gives
+    H = (u_N + i * v) / r, -i * A = (v_N - i * u) / r, with u_N, v_N zero off
+    their line. Every numerator is an exact small integer.
+    """
+    v = np.fft.fftfreq(rows) * rows
+    u = (np.fft.fftfreq(cols) * cols)[: cols // 2 + 1]
+    v_nyquist = np.where(v == -rows / 2, v, 0.0)  # no such bin on an odd side
+    u_nyquist = np.where(u == -cols / 2, u, 0.0)
+    inv_radius = u * u + (v * v)[:, np.newaxis]  # exact integers
+    inv_radius[0, 0] = 1.0  # the DC bin's numerators are all 0
+    np.sqrt(inv_radius, out=inv_radius)
+    np.divide(1.0, inv_radius, out=inv_radius)
+    real_part = np.empty(inv_radius.shape, dtype=np.complex128)
+    imag_part = np.empty(inv_radius.shape, dtype=np.complex128)
+    np.multiply(u_nyquist, inv_radius, out=real_part.real)
+    np.multiply((v - v_nyquist)[:, np.newaxis], inv_radius, out=real_part.imag)
+    np.multiply(v_nyquist[:, np.newaxis], inv_radius, out=imag_part.real)
+    np.multiply(u_nyquist - u, inv_radius, out=imag_part.imag)
+    return real_part, imag_part
+
+
 def quadrature(s: np.ndarray, beta: np.ndarray):
     """Quadrature of a zero-mean fringe signal, guided by the direction map.
 
     Returns (s_H, warnings): s_H = Re(exp(i*beta) * ifft2(S * fft2(s))). For
     s = b*cos(phi) this approximates -b*sin(phi). A clearly non-zero-mean
     input is reported as a warning, not a failure.
+
+    The signal is real, so one rfft2 carries its spectrum, and the vortex
+    ifft2(S * fft2(s)) comes out as two real inverse transforms: its real
+    part from the filter's Hermitian part and its imaginary part from the
+    anti-Hermitian one (``_half_plane_factors``, built on each call). Then
+    s_H = cos(beta) * Re - sin(beta) * Im.
     """
-    s = as_real_image(s)
+    s = as_real_image(s, min_size=MIN_ESTIMATOR_SIZE)
     beta = as_real_image(beta)
     if s.shape != beta.shape:
         raise ValueError(f"shape mismatch: signal {s.shape}, direction {beta.shape}")
@@ -60,16 +105,16 @@ def quadrature(s: np.ndarray, beta: np.ndarray):
             f"input mean {float(s.mean()):.4g} exceeds {QUADRATURE_MEAN_WARN:.0%} "
             f"of its RMS {rms:.4g}; the spiral transform expects zero-mean input"
         )
-    spiral = make_spiral_filter(*s.shape)
-    vortex = ifft2(spiral * fft2(s))
-    # exp(i*beta) = cos(beta) + i*sin(beta) without the complex exp; the
-    # + 0.0 maps a sine of -0.0 to +0.0, as exp(1j * beta) does
-    phasor = np.empty(beta.shape, dtype=np.complex128)
-    np.cos(beta, out=phasor.real)
-    np.sin(beta, out=phasor.imag)
-    phasor.imag += 0.0
-    s_h = np.multiply(phasor, vortex, out=phasor).real
-    return s_h, warnings
+    spectrum = np.fft.rfft2(s)
+    real_part, imag_part = _half_plane_factors(*s.shape)
+    real_part *= spectrum
+    imag_part *= spectrum
+    re = np.fft.irfft2(real_part, s=s.shape)
+    im = np.fft.irfft2(imag_part, s=s.shape)
+    re *= np.cos(beta)
+    im *= np.sin(beta)
+    re -= im
+    return re, warnings
 
 
 def demodulate_phase(s: np.ndarray, s_h: np.ndarray):

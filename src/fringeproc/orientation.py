@@ -9,6 +9,10 @@ vanish; averaging the doubled-angle components respects the mod-pi topology.
 Every window is a whole w x w block. It spans offsets [-lo, +hi] about its
 pixel and shifts inward at the border (it starts at clip(i - lo, 0, n - w)
 on each axis), so no window is clipped and border pixels get a full fit.
+Window sums and plane-fit moments are taken directly over every whole
+window, one axis at a time, from shifted slices (no summed-area table, whose
+differences of large running sums cancel); the border pixels repeat the
+first and last windows' values.
 
 Both estimators expect prefiltered input (approximately zero mean, unit
 amplitude); ``prefilter`` is the simplified bandpass/normalize stand-in used
@@ -115,48 +119,65 @@ def prefilter(img: np.ndarray) -> np.ndarray:
     return gaussian_blur(s, SMOOTH_SIGMA)
 
 
+def _window_sums(a: np.ndarray, w: int, axis: int, moment: bool = False):
+    """Sums of every whole w-sample window along ``axis`` of a 2-D array.
+
+    Returns (S, D) with S(c) = sum_j a(c + j) and, with ``moment``, the
+    doubled centred first moment D(c) = sum_j (2j - (w - 1)) a(c + j) over
+    j = 0 .. w - 1 (None without it); both are n - w + 1 long along ``axis``.
+    Windows of m samples double by shifted slices, S_2m(c) = S_m(c) +
+    S_m(c + m), and a window of a samples followed by one of b joins as
+    D_(a+b)(c) = D_a(c) + D_b(c + a) + a * S_b(c + a) - b * S_a(c); w is
+    built from its binary digits, so the cost grows as log w.
+    """
+
+    def part(x, start, length):
+        return x[start : start + length] if axis == 0 else x[:, start : start + length]
+
+    n = a.shape[axis]
+
+    def join(first, second, a_len, b_len):
+        # a window of a_len samples at c, then one of b_len samples at c + a_len
+        length = n - a_len - b_len + 1
+        (s1, d1), (s2, d2) = first, second
+        s1, s2 = part(s1, 0, length), part(s2, a_len, length)
+        if not moment:
+            return s1 + s2, None
+        d = a_len * s2 - b_len * s1
+        for term, start in ((d1, 0), (d2, a_len)):
+            if term is not None:  # None is the zero moment of a 1-sample window
+                d += part(term, start, length)
+        return s1 + s2, d
+
+    power, m = (a, None), 1  # the windows of m samples
+    total, r = None, 0  # the windows of the first r samples
+    while True:
+        if w & m:
+            total = power if total is None else join(total, power, r, m)
+            r += m
+        if r == w:
+            return total
+        power = join(power, power, m, m)
+        m *= 2
+
+
+def _edge_pad(core: np.ndarray, win: WindowSpec) -> np.ndarray:
+    """Place the whole windows' values at their pixels and repeat the first
+    and last of them on the border pixels, whose windows shift inward."""
+    return np.pad(core, ((win.lo, win.hi), (win.lo, win.hi)), mode="edge")
+
+
 def _box_sum(img: np.ndarray, win: WindowSpec) -> np.ndarray:
     """Sum of img over each pixel's w x w window.
 
     A window covers [i - lo, i + hi] on each axis, shifted inward at the
     border: it starts at clip(i - lo, 0, n - w), so it always holds w x w
-    samples. The summed-area table gives the sum of every whole window, and
-    the border pixels repeat the first and last of them (edge padding).
-
-    The table's four corners are taken as flat slices of the raveled table,
-    whose rows are cols + 1 long: the sum of the window at (i, j) lands at
-    flat position i * (cols + 1) + j, and the positions past column
-    cols - w of each row, whose corners wrap around a row end, are dropped.
+    samples. The sums of every whole window are separable: window sums along
+    each row (``_window_sums``), then along each column of those. The border
+    pixels repeat the first and last of them (``_edge_pad``).
     """
-    rows, cols = img.shape
-    w = win.w
-    step = cols + 1
-    table = np.zeros((rows + 1, step))
-    inner = table[1:, 1:]
-    np.cumsum(img, axis=0, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    t = table.ravel()
-    span = (rows - w) * step + cols - w + 1
-    down = w * step
-    sums = np.empty((rows - w + 1) * step)
-    s = sums[:span]
-    np.subtract(t[down + w : down + w + span], t[w : w + span], out=s)
-    s -= t[down : down + span]
-    s += t[:span]
-    sums = sums.reshape(rows - w + 1, step)[:, : cols - w + 1]
-    return np.pad(sums, ((win.lo, win.hi), (win.lo, win.hi)), mode="edge")
-
-
-def _offset_sums(n: int, win: WindowSpec) -> np.ndarray:
-    """Sum of each index's window offsets from the index, along one axis.
-
-    The window holds the w indices from start = clip(i - lo, 0, n - w), so the
-    offsets are start - i .. start - i + w - 1 and their sum is
-    w * (start - i) + w * (w - 1) / 2: exact small numbers in float64.
-    """
-    idx = np.arange(n)
-    start = np.clip(idx - win.lo, 0, n - win.w)
-    return win.w * (start - idx) + 0.5 * win.w * (win.w - 1)
+    across, _ = _window_sums(img, win.w, 1)
+    return _edge_pad(_window_sums(across, win.w, 0)[0], win)
 
 
 def _orientation_from_averaged(gx, gy, win: WindowSpec) -> OrientationMap:
@@ -189,32 +210,24 @@ def gradient_orientation(img: np.ndarray, win: WindowSpec = WindowSpec()) -> Ori
 def plane_fit_gradients(img: np.ndarray, win: WindowSpec = WindowSpec()):
     """Least-squares fit I ~ p0 + p1*x + p2*y over each pixel's w x w window.
 
-    Returns (p1, p2) maps. Windows shift inward at the border (see
-    ``_box_sum``), so every fit sees w x w samples. Over a square window the
-    centred x and y offsets are uncorrelated, and the 3x3 normal equations
-    split into two 1-D slopes: p1 = (w * tix - m_c * ti) / (w * d) with the
-    per-column offset sum m_c from ``_offset_sums`` and p2 likewise along
-    the rows. d = w * sum(offset^2) - m^2 = w^2 (w^2 - 1) / 12 is the same
-    for every window and at least 1, so no fit is singular.
+    Returns (p1, p2) maps. Over a square window the centred x and y offsets
+    are uncorrelated, so the 3x3 normal equations split into two 1-D slopes
+    in closed form: p1 = sum (j - (w - 1) / 2) * I / d over the window, j the
+    column offset from the window's first column, and p2 likewise along the
+    rows, with d = w^2 (w^2 - 1) / 12 for every window (at least 1, so no fit
+    is singular). The sums run over every whole window (``_window_sums``,
+    the centred moment along one axis and the plain sum along the other), and
+    the border pixels, whose windows shift inward (see ``_box_sum``), repeat
+    the first and last fits.
     """
     img = as_real_image(img, min_size=MIN_ESTIMATOR_SIZE)
     win.check_fits(img.shape)
-    rows, cols = img.shape
     w = win.w
-    y = np.arange(rows, dtype=np.float64)[:, None]
-    x = np.arange(cols, dtype=np.float64)[None, :]
-    m_r = _offset_sums(rows, win)[:, None]
-    m_c = _offset_sums(cols, win)
-    d = w * w * (w * w - 1) // 12
-
-    # window sums of the image and of its moments about each pixel
-    ti = _box_sum(img, win)
-    tix = _box_sum(img * x, win) - x * ti
-    tiy = _box_sum(img * y, win) - y * ti
-
-    p1 = (w * tix - m_c * ti) / (w * d)
-    p2 = (w * tiy - m_r * ti) / (w * d)
-    return p1, p2
+    scale = w * w * (w * w - 1) // 6  # 2d: the moments are doubled
+    across, moment_x = _window_sums(img, w, 1, moment=True)
+    p1, _ = _window_sums(moment_x, w, 0)
+    _, p2 = _window_sums(across, w, 0, moment=True)
+    return _edge_pad(p1 / scale, win), _edge_pad(p2 / scale, win)
 
 
 def cpfg_orientation(img: np.ndarray, win: WindowSpec = WindowSpec()) -> OrientationMap:

@@ -17,11 +17,13 @@ Across a tree edge (a, b) the 2*pi count steps by round((wrapped[a] -
 wrapped[b]) / 2*pi). Each edge left between components carries ``jump``: its
 k[b] - k[a] minus that step, where k counts 2*pi relative to the root of the
 pixel's current component. If the edge joins the two components, the count of
-a's root minus b's root is jump. The result is normalized so the most
-reliable pixel keeps its input value.
+a's root minus b's root is jump. The counts are taken relative to the most
+reliable pixel, which so keeps its input value.
 
-A modulo-pi orientation map lifts to a modulo-2*pi direction map by doubling,
-unwrapping, halving and reducing; the global pi branch stays inherently
+A modulo-pi orientation map lifts to a modulo-2*pi direction map by doubling
+and unwrapping: halving the unwrapped angle and reducing it mod 2*pi gives
+FO where a pixel's 2*pi count is even and FO + pi where it is odd, so the
+lift reads only the counts' parity. The global pi branch stays inherently
 ambiguous.
 """
 
@@ -176,14 +178,14 @@ def _heaviest_edges(count: int, comp_a: np.ndarray, comp_b: np.ndarray,
 
 
 def _spanning_tree_unwrap(wrapped) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unwrap ``wrapped``; return (unwrapped, anchor).
+    """2*pi counts that unwrap the float64 map ``wrapped``; return (counts,
+    anchor).
 
-    ``anchor`` is the (row, col) of the most reliable pixel, which keeps its
-    input value exactly.
+    ``counts`` holds each pixel's 2*pi count minus that of ``anchor``, the
+    (row, col) of the most reliable pixel, as exact integers in float64.
     """
-    wrapped = as_real_image(wrapped)
+    rel = reliability_map(wrapped)  # checks the map
     rows, cols = wrapped.shape
-    rel = reliability_map(wrapped)
     flat = wrapped.ravel()
 
     # Borůvka rounds. Components are renumbered 0..count-1 every round; the
@@ -221,8 +223,7 @@ def _spanning_tree_unwrap(wrapped) -> tuple[np.ndarray, tuple[int, int]]:
     for to, offset in reversed(levels):
         k = offset + k[to]
     anchor = int(np.argmax(rel))
-    out = flat + TAU * (k - k[anchor])
-    return out.reshape(rows, cols), divmod(anchor, cols)
+    return (k - k[anchor]).reshape(rows, cols), divmod(anchor, cols)
 
 
 def unwrap_phase_2d(wrapped: np.ndarray) -> np.ndarray:
@@ -233,7 +234,8 @@ def unwrap_phase_2d(wrapped: np.ndarray) -> np.ndarray:
     value. Ties in edge reliability break by edge index to keep runs
     deterministic. Raises ValueError for a non-2D, empty or non-finite map.
     """
-    return _spanning_tree_unwrap(wrapped)[0]
+    wrapped = as_real_image(wrapped)
+    return wrapped + TAU * _spanning_tree_unwrap(wrapped)[0]
 
 
 def _nearest_valid(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,11 +284,15 @@ def _nearest_valid(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def orientation_to_direction(fo: OrientationMap, min_coverage: float = 0.99):
     """Lift a mod-pi orientation map to a mod-2*pi direction map.
 
-    D = unwrap(2*FO)/2 reduced mod 2*pi. Invalid pixels are inpainted from
-    their nearest valid pixel first (``_nearest_valid``); coverage below
-    ``min_coverage``, or no valid pixel at all, fails loudly. Returns
-    (direction, anchor) where ``anchor`` records the (row, col, angle) fixing
-    which of the two global pi branches came out.
+    D = unwrap(2*FO)/2 reduced mod 2*pi. Only the parity of each pixel's
+    2*pi count in the unwrapped 2*FO matters: D is FO where the count
+    relative to the anchor is even and FO + pi where it is odd, and an
+    FO + pi that rounds to 2*pi or beyond (FO at or just below pi, as a
+    float32 round trip can leave it) folds back by 2*pi. Invalid pixels are
+    inpainted from their nearest valid pixel first (``_nearest_valid``);
+    coverage below ``min_coverage``, or no valid pixel at all, fails loudly.
+    Returns (direction, anchor) where ``anchor`` records the (row, col,
+    angle) fixing which of the two global pi branches came out.
     """
     coverage = float(fo.valid.mean())
     if coverage < min_coverage:
@@ -296,8 +302,11 @@ def orientation_to_direction(fo: OrientationMap, min_coverage: float = 0.99):
     angles = fo.angles
     if not fo.valid.all():
         angles = angles[_nearest_valid(fo.valid)]
-    unwrapped, anchor = _spanning_tree_unwrap(2.0 * angles)
-    direction = np.mod(unwrapped / 2.0, TAU)
+    direction = np.array(angles, dtype=np.float64)
+    counts, anchor = _spanning_tree_unwrap(2.0 * direction)
+    odd = (counts.astype(np.int64) & 1).astype(bool)
+    np.add(direction, np.pi, out=direction, where=odd)
+    np.subtract(direction, TAU, out=direction, where=direction >= TAU)
     return direction, {
         "row": anchor[0],
         "col": anchor[1],

@@ -1,6 +1,7 @@
 """List the sha256 of every payload file the nine CLI commands write.
 
     python tests/payload_hashes.py OUT_DIR
+    python tests/payload_hashes.py --compare DIR_A DIR_B
 
 runs simulate, train, infer, orient-classic, unwrap-orientation, demodulate,
 evaluate, benchmark and pipeline in-process on fixed seeds at 32-64 px, in the
@@ -12,8 +13,18 @@ run manifests (``*.json``) are left out: they record the command's options.
 The package comes from the ``src`` directory beside this file's directory, so
 two checkouts' listings compare with ``diff``: equal listings mean
 byte-identical outputs. BLAS runs on one thread, so the bytes do not depend on
-the machine's core count. The script is not a pytest module;
-``test_cli.py`` runs it twice and compares the listings.
+the machine's core count.
+
+With ``--compare`` it runs nothing. For every payload whose sha256 differs
+between two such directories it prints ``difference  relative-path``, sorted
+by path: the largest absolute difference between the two files' samples.
+FPAI and FPAW samples are read with the package's readers; a CSV file or
+report is split at commas, ``=`` and white space, and its numeric fields are
+compared. A payload found in one directory only, or whose sample count or
+non-numeric fields differ, prints ``missing`` or ``layout`` instead.
+
+The script is not a pytest module; ``test_cli.py`` runs it twice and
+compares the listings, and checks ``--compare``.
 """
 
 import os
@@ -25,12 +36,17 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fringeproc.cli import main  # noqa: E402
+from fringeproc.container import read_container  # noqa: E402
+from fringeproc.network import load_weights  # noqa: E402
 
 OBJ = ["--mode", "object", "--rows", "64", "--cols", "64"]
 
@@ -94,14 +110,60 @@ def run_all(out_dir: Path) -> None:
             (out_dir / stdout_name).write_text(out.getvalue())
 
 
+def hashes(out_dir: Path) -> dict[str, str]:
+    """sha256 of every payload, keyed by its path relative to out_dir."""
+    return {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.rglob("*")) if p.suffix in PAYLOADS}
+
+
 def listing(out_dir: Path) -> list[str]:
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out_dir)}"
-            for p in sorted(out_dir.rglob("*")) if p.suffix in PAYLOADS]
+    return [f"{digest}  {path}" for path, digest in hashes(out_dir).items()]
+
+
+def fields(path: Path) -> tuple[np.ndarray, list[str]]:
+    """A payload's numeric samples and its non-numeric fields."""
+    if path.suffix == ".fpai":
+        return read_container(path).ravel(), []
+    if path.suffix == ".fpaw":
+        tensors = load_weights(path).tensors.values()
+        return np.concatenate([t.ravel() for t in tensors]), []
+    values, words = [], []
+    for token in re.split(r"[\s,=]+", path.read_text()):
+        try:
+            values.append(float(token))
+        except ValueError:
+            words.append(token)
+    return np.array(values), words
+
+
+def difference(a: Path, b: Path) -> str:
+    """The largest absolute sample difference of two payloads, or ``layout``."""
+    (values_a, words_a), (values_b, words_b) = fields(a), fields(b)
+    if values_a.shape != values_b.shape or words_a != words_b:
+        return "layout"
+    same = (values_a == values_b) | (np.isnan(values_a) & np.isnan(values_b))
+    return f"{float(np.where(same, 0.0, np.abs(values_a - values_b)).max(initial=0.0)):.6g}"
+
+
+def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    """One ``difference  path`` line for every payload whose sha256 differs."""
+    hashes_a, hashes_b = hashes(dir_a), hashes(dir_b)
+    lines = []
+    for path in sorted(hashes_a.keys() | hashes_b.keys()):
+        if hashes_a.get(path) == hashes_b.get(path):
+            continue
+        both = path in hashes_a and path in hashes_b
+        lines.append(f"{difference(dir_a / path, dir_b / path) if both else 'missing'}  {path}")
+    return lines
 
 
 def main_script(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        for line in compare(Path(argv[1]), Path(argv[2])):
+            print(line)
+        return 0
     if len(argv) != 1:
-        print(__doc__.splitlines()[2].strip(), file=sys.stderr)
+        print("\n".join(line.strip() for line in __doc__.splitlines()[2:4]), file=sys.stderr)
         return 2
     out_dir = Path(argv[0]).resolve()
     out_dir.mkdir(parents=True)  # a fresh directory, so every file is this run's

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -795,6 +796,29 @@ def test_payload_hash_listing_is_reproducible(tmp_path):
     paths = [line.split("  ", 1)[1] for line in listings[0].splitlines()]
     assert {"model.fpaw", "sweep.csv", "fo_cpfg.fpai", "fo_net.fpai",
             "pipeline_peaks/phase.fpai", "pipeline_blob/phase.fpai"} <= set(paths)
+
+
+def test_payload_compare_names_changed_payloads(tmp_path):
+    # --compare runs no command: equal directories print nothing, and one
+    # changed FPAI sample prints that file with the size of the change
+    script = Path(__file__).with_name("payload_hashes.py")
+    a, b = tmp_path / "a", tmp_path / "b"
+    (a / "maps").mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    write_container(a / "x.fpai", rng.integers(-5, 5, (8, 8)).astype(np.float64))
+    write_container(a / "maps" / "y.fpai", rng.integers(-5, 5, (2, 4, 6)).astype(np.float64))
+    (a / "sweep.csv").write_text("a,method,oe\n0.5,cpfg,0.001\n")
+    shutil.copytree(a, b)
+
+    def compare(x, y):
+        return subprocess.run([sys.executable, str(script), "--compare", str(x), str(y)],
+                              capture_output=True, text=True, check=True).stdout
+
+    assert compare(a, a) == "" and compare(a, b) == ""
+    changed = read_container(b / "maps" / "y.fpai")
+    changed[1, 2, 3] -= 0.25
+    write_container(b / "maps" / "y.fpai", changed)
+    assert compare(a, b) == "0.25  maps/y.fpai\n"
 
 
 def test_code_line_count_lists_every_module():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fringeproc.hst import demodulate, demodulate_phase, make_spiral_filter, quadrature
-from fringeproc.image import ifft2
 from fringeproc.metrics import rmse_phase
 from fringeproc.simulate import (
     CarrierSpec,
@@ -11,6 +10,12 @@ from fringeproc.simulate import (
     ground_truth_direction,
     render_fringe,
 )
+
+
+def full_plane_quadrature(s, beta):
+    """Re(exp(i*beta) * ifft2(S * fft2(s))) on complex full-plane transforms."""
+    vortex = np.fft.ifft2(make_spiral_filter(*s.shape) * np.fft.fft2(s.astype(np.complex128)))
+    return np.real(np.exp(1j * beta) * vortex)
 
 
 class TestSpiralFilter:
@@ -101,18 +106,33 @@ class TestQuadrature:
     @pytest.mark.parametrize("family", ["circle", "wide", "exact"])
     @pytest.mark.parametrize("shape", [(8, 8), (9, 14), (64, 64)])
     def test_bytes_match_complex_exp(self, shape, family):
-        # cos and sin in one complex buffer against exp(1j * beta), and the
-        # real-input fft2 against the complex one
+        # the real-input transforms and cos/sin against the complex full-plane
+        # transforms and exp(1j * beta), which round differently
         rng = np.random.default_rng(shape[1])
         s = rng.standard_normal(shape)
         s -= s.mean()
         beta = {"circle": rng.uniform(0.0, 2.0 * np.pi, shape),
                 "wide": rng.uniform(-1e6, 1e6, shape),
                 "exact": rng.choice([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi], shape)}[family]
-        want = np.real(np.exp(1j * beta)
-                       * ifft2(make_spiral_filter(*shape) * np.fft.fft2(s.astype(np.complex128))))
         got, _ = quadrature(s, beta)
-        assert got.tobytes() == want.tobytes()
+        assert np.abs(got - full_plane_quadrature(s, beta)).max() <= 1e-13
+
+    @pytest.mark.parametrize("line", ["row", "column"])
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 12), (9, 15), (64, 64)])
+    def test_nyquist_lines_match_full_plane_reference(self, shape, line):
+        # energy only on the middle row or column of the spectrum, which is
+        # the Nyquist line of an even side: there the filter's Hermitian
+        # parts are not i * v / r and -i * u / r
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        rows, cols = shape
+        spectrum = np.zeros(shape, dtype=np.complex128)
+        at = np.s_[rows // 2, :] if line == "row" else np.s_[:, cols // 2]
+        size = cols if line == "row" else rows
+        spectrum[at] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        s = np.fft.ifft2(spectrum).real
+        beta = rng.uniform(0.0, 2.0 * np.pi, shape)
+        got, _ = quadrature(s, beta)
+        assert np.abs(got - full_plane_quadrature(s, beta)).max() <= 1e-13
 
     def test_nonzero_mean_warns(self):
         phase = gen_carrier((64, 64), CarrierSpec(14.0, 0.0))

@@ -478,6 +478,20 @@ class TestOrientationToDirection:
         assert err < 1e-12
         assert direction[anchor["row"], anchor["col"]] == anchor["direction"]
 
+    def test_direction_is_orientation_or_opposite_in_range(self):
+        # FO just below pi: FO + pi rounds to 2*pi there, and so did np.mod
+        # of the halved unwrapped angle; 2*pi folds to 0
+        y, x = np.mgrid[0:64, 0:64].astype(float)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            angles = np.mod(0.2 * x + 0.05 * y, np.pi)
+            angles[rng.random(angles.shape) < 0.05] = np.nextafter(np.pi, 0.0)
+            direction, _ = orientation_to_direction(full_map(angles))
+            assert ((direction >= 0.0) & (direction < TAU)).all()
+            opposite = angles + np.pi
+            assert ((direction == angles) | (direction == opposite)
+                    | ((direction == 0.0) & (opposite == TAU))).all()
+
     def test_anchor_is_most_reliable_pixel(self):
         truth = 2.0 * peaks_surface(64)
         fo = full_map(np.mod(truth, np.pi))
