@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``image``: grid primitives (gradients, FFT contract, Gaussian blur)
+- ``image``: grid primitives (validation, Gaussian blur)
 - ``container``: the FPAI float32 file format + JSON sidecars
 - ``simulate``: synthetic fringes with analytic ground truth, seeded datasets
 - ``maps``: orientation/direction/encoding types and conversions
@@ -15,7 +15,7 @@ Library layout:
 """
 
 from .container import read_container, read_sidecar, write_container
-from .image import GradientPair, fft2, gaussian_blur, gradients, ifft2
+from .image import gaussian_blur
 from .maps import (
     OrientationEncoding,
     OrientationMap,
@@ -46,7 +46,6 @@ from .orientation import (
 from .simulate import (
     CarrierSpec,
     DatasetManifest,
-    GaussianKernelSpec,
     add_gaussian_noise,
     gen_blob_mask_phase,
     gen_carrier,
@@ -57,7 +56,6 @@ from .simulate import (
     load_manifest,
     make_dataset,
     render_fringe,
-    render_gaussian_kernels,
 )
 from .hst import demodulate, demodulate_phase, make_spiral_filter, quadrature
 from .training import Sample, TrainConfig, adam_step, load_samples, loss_mse, train

@@ -41,6 +41,10 @@ MAGIC = b"FPAI"
 VERSION = 1
 HEADER = struct.Struct("<4sIIIII")
 
+# FO lies in [0, pi); a float32 round trip may store an FO just below pi as
+# float32(pi), which is above pi, and the lift folds that value
+ORIENTATION_MAX = float(np.float32(np.pi))
+
 SIDECAR_KINDS = ("fringe", "phase", "orientation", "direction", "encoding", "error_map")
 
 
@@ -163,8 +167,14 @@ def single_channel(arr: np.ndarray, path, what: str = "image") -> np.ndarray:
 
 
 def read_orientation(path) -> OrientationMap:
-    """Read a single-channel orientation file; every pixel is valid (FPAI has no mask)."""
+    """Read a single-channel orientation file; every pixel is valid (FPAI has no mask).
+
+    A sample outside [0, ORIENTATION_MAX] is a FormatError naming path.
+    """
     angles = single_channel(read_container(path), path, "orientation map")
+    if not ((angles >= 0.0) & (angles <= ORIENTATION_MAX)).all():
+        raise FormatError(f"{path}: orientation samples span [{angles.min():g}, "
+                          f"{angles.max():g}], outside [0, pi]")
     return OrientationMap(angles=angles, valid=np.ones_like(angles, dtype=bool))
 
 

@@ -32,7 +32,7 @@ DEMOD_MAGNITUDE_EPS = 1e-12
 def make_spiral_filter(rows: int, cols: int) -> np.ndarray:
     """S(u,v) = (u + i*v)/sqrt(u^2 + v^2) over signed integer frequency bins.
 
-    Bin layout matches fft2 (DC at [0, 0], negative frequencies in the upper
+    Bin layout matches numpy's 2D DFT (DC at [0, 0], negative frequencies in the upper
     halves); S(0,0) = 0 removes the singular DC bin. ``quadrature`` applies
     this filter through its half-plane parts (``_half_plane_factors``).
     """
@@ -57,12 +57,12 @@ def _half_plane_factors(rows: int, cols: int):
     With S' the filter at the mirrored bin (-k mod the grid), H = (S +
     conj(S')) / 2 and A = (S - conj(S')) / 2, so for a real signal's
     spectrum F, H * F and -i * A * F are the spectra of the real and the
-    imaginary part of ifft2(S * F). Off the Nyquist lines the mirror negates
-    both frequencies, and the factors are i * v / r and -i * u / r. On an
-    even grid's Nyquist row (v = -rows / 2) and column (u = -cols / 2) the
-    mirror keeps that frequency, and the same formula gives
-    H = (u_N + i * v) / r, -i * A = (v_N - i * u) / r, with u_N, v_N zero off
-    their line. Every numerator is an exact small integer.
+    imaginary part of IDFT(S * F), IDFT the inverse 2D DFT. Off the Nyquist
+    lines the mirror negates both frequencies, and the factors are i * v / r
+    and -i * u / r. On an even grid's Nyquist row (v = -rows / 2) and column
+    (u = -cols / 2) the mirror keeps that frequency, and the same formula
+    gives H = (u_N + i * v) / r, -i * A = (v_N - i * u) / r, with u_N, v_N
+    zero off their line. Every numerator is an exact small integer.
     """
     v = np.fft.fftfreq(rows) * rows
     u = (np.fft.fftfreq(cols) * cols)[: cols // 2 + 1]
@@ -84,12 +84,13 @@ def _half_plane_factors(rows: int, cols: int):
 def quadrature(s: np.ndarray, beta: np.ndarray):
     """Quadrature of a zero-mean fringe signal, guided by the direction map.
 
-    Returns (s_H, warnings): s_H = Re(exp(i*beta) * ifft2(S * fft2(s))). For
-    s = b*cos(phi) this approximates -b*sin(phi). A clearly non-zero-mean
-    input is reported as a warning, not a failure.
+    Returns (s_H, warnings): s_H = Re(exp(i*beta) * IDFT(S * DFT(s))), with
+    DFT the unnormalised 2D DFT and IDFT its inverse. For s = b*cos(phi)
+    this approximates -b*sin(phi). A clearly non-zero-mean input is reported
+    as a warning, not a failure.
 
     The signal is real, so one rfft2 carries its spectrum, and the vortex
-    ifft2(S * fft2(s)) comes out as two real inverse transforms: its real
+    IDFT(S * DFT(s)) comes out as two real inverse transforms: its real
     part from the filter's Hermitian part and its imaginary part from the
     anti-Hermitian one (``_half_plane_factors``, built on each call). Then
     s_H = cos(beta) * Re - sin(beta) * Im.

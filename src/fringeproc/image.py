@@ -1,12 +1,10 @@
-"""Dense-grid primitives: validation, finite differences, FFT contract, Gaussian blur.
+"""Dense-grid primitives: validation and Gaussian blur.
 
 Axis convention, fixed repo-wide: x is the column index (increasing rightward),
 y is the row index (increasing downward). Arrays are indexed [y, x].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,43 +27,6 @@ def as_real_image(values, min_size: int | None = None) -> np.ndarray:
             f"image {img.shape} smaller than required {min_size}x{min_size}"
         )
     return img
-
-
-@dataclass(frozen=True)
-class GradientPair:
-    """Per-pixel spatial derivatives, same shape as the source image."""
-
-    gx: np.ndarray  # d/dx, along columns
-    gy: np.ndarray  # d/dy, along rows
-
-
-def gradients(img: np.ndarray) -> GradientPair:
-    """Central differences at interior pixels, one-sided at the first/last row/column.
-
-    Matches np.gradient's stencil; output shape equals input shape so maps stay
-    full-size.
-    """
-    img = as_real_image(img)
-    gy, gx = np.gradient(img)
-    return GradientPair(gx=gx, gy=gy)
-
-
-def fft2(img: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2D DFT in complex128; DC at index (0, 0).
-
-    A real image goes to numpy as float64: its real-input transform gives the
-    bytes of the complex one at about half the cost (numpy 2.4, every shape
-    of 1-40 px per side and 256^2-1024^2), and numpy 2 would transform a
-    float32 image in single precision.
-    """
-    img = np.asarray(img)
-    return np.fft.fft2(img.astype(np.complex128 if np.iscomplexobj(img) else np.float64,
-                                  copy=False))
-
-
-def ifft2(img: np.ndarray) -> np.ndarray:
-    """Inverse 2D DFT normalized by 1/(rows*cols); exact round-trip with fft2."""
-    return np.fft.ifft2(np.asarray(img, dtype=np.complex128))
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -133,7 +94,10 @@ def gaussian_blur_matrix(n: int, sigma: float) -> np.ndarray:
     as mode "nearest" replicates the edge sample. So ``B_rows @ img @
     B_cols.T`` is ``gaussian_blur(img, sigma)`` up to summation order (within
     1e-14 on unit-scale input). Taps beyond n - 1 of the centre only ever
-    reach an edge, so memory stays O(n^2) however wide the kernel is.
+    reach an edge, so the matrix never holds more than its n^2 entries; the
+    kernel and its running sum still hold all 8 sigma + 1 taps, so memory is
+    O(n^2 + sigma). No command reaches a large sigma: ``prefilter``'s is at
+    most min(rows, cols) / 8.
     """
     if n == 1:
         return np.ones((1, 1))

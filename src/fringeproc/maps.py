@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-DEGENERATE_GRADIENT_EPS = 1e-9
 DECODE_MAGNITUDE_EPS = 1e-6
 
 
@@ -78,18 +77,6 @@ def decode_orientation(enc: OrientationEncoding) -> OrientationMap:
     np.add(angles, np.pi, out=angles, where=angles < 0.0)
     angles += 0.0
     angles[~valid] = 0.0
-    return OrientationMap(angles=angles, valid=valid)
-
-
-def orientation_from_gradients(gx: np.ndarray, gy: np.ndarray) -> OrientationMap:
-    """atan2(gx, gy) mod pi; pixels with |gx| + |gy| below the floor are invalid.
-
-    Reduces through the mod-2*pi direction value so orientation and direction
-    maps computed from the same gradients agree bit-exactly after mod pi.
-    """
-    valid = (np.abs(gx) + np.abs(gy)) >= DEGENERATE_GRADIENT_EPS
-    angles = np.mod(np.mod(np.arctan2(gx, gy), 2.0 * np.pi), np.pi)
-    angles = np.where(valid, angles, 0.0)
     return OrientationMap(angles=angles, valid=valid)
 
 

@@ -66,6 +66,8 @@ def valid_fraction(
     exclude_border: int = 0,
 ) -> float:
     """Share of the evaluated region where both maps are valid."""
+    if fo.shape != ref.shape:
+        raise ValueError(f"shape mismatch: {fo.shape} vs {ref.shape}")
     region = _border_mask(fo.shape, exclude_border)
     return float((fo.valid & ref.valid & region).sum() / region.sum())
 

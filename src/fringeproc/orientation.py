@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import (
-    MIN_ESTIMATOR_SIZE,
-    as_real_image,
-    gaussian_blur,
-    gaussian_blur_matrix,
-    gradients,
-)
+from .image import MIN_ESTIMATOR_SIZE, as_real_image, gaussian_blur, gaussian_blur_matrix
 from .maps import OrientationMap
 
 AVERAGED_MAGNITUDE_EPS = 1e-9
@@ -203,8 +197,8 @@ def gradient_orientation(img: np.ndarray, win: WindowSpec = WindowSpec()) -> Ori
     """Orientation from window-averaged finite-difference intensity gradients."""
     img = as_real_image(img, min_size=MIN_ESTIMATOR_SIZE)
     win.check_fits(img.shape)
-    g = gradients(img)
-    return _orientation_from_averaged(g.gx, g.gy, win)
+    gy, gx = np.gradient(img)
+    return _orientation_from_averaged(gx, gy, win)
 
 
 def plane_fit_gradients(img: np.ndarray, win: WindowSpec = WindowSpec()):

@@ -18,8 +18,8 @@ import numpy as np
 
 from .container import parse_json_object, write_container, write_json
 from .errors import FormatError
-from .image import as_real_image, gaussian_blur, gradients
-from .maps import OrientationMap, encode_orientation, orientation_from_gradients
+from .image import as_real_image, gaussian_blur
+from .maps import OrientationMap, encode_orientation
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -30,6 +30,8 @@ SIGMA_FRACTION_RANGE = (0.05, 0.25)  # bump sigma, as a fraction of the shorter 
 AMPLITUDE_RANGE = (-8.0, 8.0)  # bump amplitude, rad
 PERIOD_RANGE = (8.0, 32.0)  # carrier period, px
 THETA_RANGE = (0.0, np.pi)  # carrier azimuth, rad
+
+DEGENERATE_GRADIENT_EPS = 1e-9  # |dphi/dx| + |dphi/dy| below it has no orientation
 
 MANIFEST_VERSION = 2  # version 1 also listed the items and the ranges; both read
 
@@ -79,34 +81,6 @@ class CarrierSpec:
             raise ValueError("theta must lie in [0, pi)")
 
 
-@dataclass(frozen=True)
-class GaussianKernelSpec:
-    """One object-phase bump: center (cx, cy) px, width sigma px, signed amplitude rad."""
-
-    cx: float
-    cy: float
-    sigma: float
-    amplitude: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-
-def render_gaussian_kernels(shape, kernels) -> np.ndarray:
-    """Sum of A_k * exp(-((x-cx)^2 + (y-cy)^2) / (2*sigma_k^2)) over the grid."""
-    rows, cols = shape
-    x, y = np.arange(cols, dtype=np.float64), np.arange(rows, dtype=np.float64)[:, None]
-    phase = np.zeros((rows, cols))
-    for k in kernels:
-        if not (0 <= k.cx <= cols - 1 and 0 <= k.cy <= rows - 1):
-            raise ValueError(f"kernel center ({k.cx}, {k.cy}) outside image bounds")
-        phase += k.amplitude * np.exp(
-            -((x - k.cx) ** 2 + (y - k.cy) ** 2) / (2.0 * k.sigma**2)
-        )
-    return phase
-
-
 def gen_carrier(shape, carrier: CarrierSpec) -> np.ndarray:
     """phi_carrier(x, y) = x*cos(theta)*2*pi/T + y*sin(theta)*2*pi/T."""
     rows, cols = shape
@@ -126,17 +100,15 @@ def gen_object_phase_gaussians(shape, seed: int) -> np.ndarray:
     m = min(rows, cols)
     rng = make_rng(seed)
     lo, hi = KERNEL_COUNT_RANGE
-    count = int(rng.integers(lo, hi + 1))
-    kernels = [
-        GaussianKernelSpec(
-            cx=rng.uniform(0, cols - 1),
-            cy=rng.uniform(0, rows - 1),
-            sigma=rng.uniform(SIGMA_FRACTION_RANGE[0] * m, SIGMA_FRACTION_RANGE[1] * m),
-            amplitude=rng.uniform(*AMPLITUDE_RANGE),
-        )
-        for _ in range(count)
-    ]
-    return render_gaussian_kernels(shape, kernels)
+    x, y = np.arange(cols, dtype=np.float64), np.arange(rows, dtype=np.float64)[:, None]
+    phase = np.zeros((rows, cols))
+    for _ in range(int(rng.integers(lo, hi + 1))):
+        cx = rng.uniform(0, cols - 1)
+        cy = rng.uniform(0, rows - 1)
+        sigma = rng.uniform(SIGMA_FRACTION_RANGE[0] * m, SIGMA_FRACTION_RANGE[1] * m)
+        amplitude = rng.uniform(*AMPLITUDE_RANGE)
+        phase += amplitude * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * sigma**2))
+    return phase
 
 
 def peaks_surface(size: int) -> np.ndarray:
@@ -200,15 +172,22 @@ def add_gaussian_noise(img: np.ndarray, std: float, seed: int) -> np.ndarray:
 
 
 def ground_truth_orientation(phase: np.ndarray) -> OrientationMap:
-    """FO = atan2(dphi/dx, dphi/dy) mod pi from finite-difference phase gradients."""
-    g = gradients(phase)
-    return orientation_from_gradients(g.gx, g.gy)
+    """FO = atan2(dphi/dx, dphi/dy) mod pi from finite-difference phase gradients.
+
+    Pixels with |dphi/dx| + |dphi/dy| below DEGENERATE_GRADIENT_EPS are
+    invalid. FO reduces through the mod-2*pi value of ``ground_truth_direction``,
+    so FO = beta mod pi bit-exactly wherever FO is valid.
+    """
+    gy, gx = np.gradient(as_real_image(phase))
+    valid = (np.abs(gx) + np.abs(gy)) >= DEGENERATE_GRADIENT_EPS
+    angles = np.mod(np.mod(np.arctan2(gx, gy), 2.0 * np.pi), np.pi)
+    return OrientationMap(angles=np.where(valid, angles, 0.0), valid=valid)
 
 
 def ground_truth_direction(phase: np.ndarray) -> np.ndarray:
     """beta = atan2(dphi/dx, dphi/dy) mod 2*pi (same argument order, full circle)."""
-    g = gradients(phase)
-    return np.mod(np.arctan2(g.gx, g.gy), 2.0 * np.pi)
+    gy, gx = np.gradient(as_real_image(phase))
+    return np.mod(np.arctan2(gx, gy), 2.0 * np.pi)
 
 
 # --------------------------------------------------------------------------

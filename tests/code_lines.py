@@ -5,8 +5,10 @@
 A code line holds at least one token that is not a comment, and is not part
 of a docstring; blank lines do not count. The option count is every argparse
 action of each command's subparser except its ``-h``; the top-level
-``--version`` and ``-h`` are not counted. It prints one
-``lines  module`` row per module, a ``total`` row and an ``options`` row.
+``--version`` and ``-h`` are not counted. The public count is every
+function and class in ``fringeproc.__all__``; its modules are not counted.
+It prints one ``lines  module`` row per module, a ``total`` row, an
+``options`` row and a ``public`` row.
 The package comes from the ``src`` directory beside this file's directory,
 so two checkouts' counts compare directly. The script is not a pytest
 module; ``test_cli.py`` runs it once as a smoke test.
@@ -14,6 +16,7 @@ module; ``test_cli.py`` runs it once as a smoke test.
 
 import argparse
 import ast
+import inspect
 import io
 import sys
 import tokenize
@@ -55,6 +58,12 @@ def option_count() -> int:
                for parser in commands.choices.values() for action in parser._actions)
 
 
+def public_count() -> int:
+    import fringeproc
+
+    return sum(not inspect.ismodule(getattr(fringeproc, name)) for name in fringeproc.__all__)
+
+
 def main() -> int:
     total = 0
     for path in sorted((SRC / "fringeproc").glob("*.py")):
@@ -63,6 +72,7 @@ def main() -> int:
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
     print(f"{option_count():6d}  options")
+    print(f"{public_count():6d}  public")
     return 0
 
 

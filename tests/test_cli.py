@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fringeproc
 from fringeproc.cli import main
 from fringeproc.container import (SIDECAR_KINDS, read_container, read_sidecar,
                                   write_container, write_json)
@@ -432,6 +434,17 @@ class TestUnwrapAndDemodulate:
         manifest = json.loads((tmp_path / "dir.fpai.manifest.json").read_text())
         assert {"row", "col", "direction"} <= set(manifest["branch_anchor"])
 
+    @pytest.mark.parametrize("angles", [
+        np.linspace(-1.0, np.pi - 1.0, 256, endpoint=False).reshape(16, 16),
+        np.full((16, 16), 7.0),
+    ], ids=["shifted-by-minus-1", "constant-7"])
+    def test_orientation_outside_zero_pi_is_format_error(self, tmp_path, angles):
+        fo = tmp_path / "fo.fpai"
+        write_container(fo, angles)
+        line = one_error_line(tmp_path, 3, "unwrap-orientation", "--input", fo,
+                              "--out", "dir.fpai")
+        assert "fo.fpai" in line and "outside [0, pi]" in line
+
     def test_demodulate_smoke(self, peaks_object, tmp_path):
         assert run("demodulate", "--fringe", peaks_object,
                    "--direction", peaks_object.parent / "obj_direction.fpai",
@@ -828,6 +841,8 @@ def test_code_line_count_lists_every_module():
     ).stdout.splitlines()]
     counts = {name: int(n) for n, name in rows}
     modules = {p.name for p in (Path(SRC) / "fringeproc").glob("*.py")}
-    assert set(counts) == modules | {"total", "options"}
+    assert set(counts) == modules | {"total", "options", "public"}
     assert counts["total"] == sum(counts[m] for m in modules)
     assert 0 < counts["cli.py"] < counts["total"] and counts["options"] > 0
+    assert counts["public"] == sum(not inspect.ismodule(getattr(fringeproc, name))
+                                   for name in fringeproc.__all__) > 0

@@ -146,13 +146,33 @@ def test_sidecar_rejects_unknown_kind(tmp_path):
 
 def test_read_orientation_single_channel_all_valid(tmp_path):
     path = tmp_path / "fo.fpai"
-    angles = np.abs(random_f32((8, 8)))
+    angles = np.random.default_rng(0).uniform(0.0, np.pi, (8, 8)).astype(np.float32)
+    angles = angles.astype(np.float64)
     write_container(path, angles)
     fo = read_orientation(path)
     assert np.array_equal(fo.angles, angles)
     assert fo.valid.all()
     write_container(path, np.zeros((2, 8, 8)))
     with pytest.raises(FormatError, match="single-channel"):
+        read_orientation(path)
+
+
+def test_read_orientation_keeps_float32_pi(tmp_path):
+    # an FO just below pi may round to float32(pi), which is above pi
+    path = tmp_path / "fo.fpai"
+    write_container(path, np.full((4, 4), np.nextafter(np.pi, 0.0)))
+    fo = read_orientation(path)
+    assert np.all(fo.angles == float(np.float32(np.pi))) and fo.angles[0, 0] > np.pi
+
+
+@pytest.mark.parametrize("bad", [-1e-7, float(np.nextafter(np.float32(np.pi), np.float32(4))),
+                                 7.0])
+def test_read_orientation_rejects_angles_outside_zero_pi(tmp_path, bad):
+    path = tmp_path / "fo.fpai"
+    angles = np.full((4, 4), 1.0)
+    angles[2, 3] = bad
+    write_container(path, angles)
+    with pytest.raises(FormatError, match=r"fo\.fpai: orientation samples .* outside \[0, pi\]"):
         read_orientation(path)
 
 

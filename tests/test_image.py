@@ -5,27 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fringeproc.image import (
-    as_real_image,
-    fft2,
-    gaussian_blur,
-    gaussian_blur_matrix,
-    gaussian_kernel,
-    gradients,
-)
-
-
-def direct_dft2(img):
-    """Brute-force DFT summation; the independent oracle for fft2."""
-    rows, cols = img.shape
-    out = np.zeros((rows, cols), dtype=complex)
-    yy, xx = np.mgrid[0:rows, 0:cols]
-    for v in range(rows):
-        for u in range(cols):
-            out[v, u] = np.sum(
-                img * np.exp(-2j * np.pi * (v * yy / rows + u * xx / cols))
-            )
-    return out
+from fringeproc.image import as_real_image, gaussian_blur, gaussian_blur_matrix, gaussian_kernel
 
 
 class TestValidation:
@@ -42,86 +22,6 @@ class TestValidation:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError, match="smaller"):
             as_real_image(np.zeros((4, 4)), min_size=8)
-
-
-class TestGradients:
-    def test_constant_image(self):
-        g = gradients(np.full((16, 16), 2.5))
-        assert np.all(g.gx == 0) and np.all(g.gy == 0)
-
-    def test_column_ramp(self):
-        y, x = np.mgrid[0:12, 0:12].astype(float)
-        g = gradients(x)
-        assert np.allclose(g.gx, 1.0)
-        assert np.allclose(g.gy, 0.0)
-
-    def test_linear_field_exact_everywhere(self):
-        # one-sided border stencils are also exact on a plane
-        y, x = np.mgrid[0:20, 0:24].astype(float)
-        g = gradients(1.25 * x - 0.75 * y)
-        assert np.abs(g.gx - 1.25).max() == 0
-        assert np.abs(g.gy + 0.75).max() == 0
-
-    def test_carrier_gradient(self):
-        # phase of T=14, theta=0 carrier: d/dx = 2*pi/14, d/dy = 0
-        y, x = np.mgrid[0:16, 0:16].astype(float)
-        g = gradients(x * 2 * np.pi / 14)
-        assert np.allclose(g.gx[1:-1, 1:-1], 2 * np.pi / 14, atol=1e-12)
-        assert np.allclose(g.gy, 0.0)
-
-
-class TestFFT:
-    def test_dc_only_signal(self):
-        spec = fft2(np.ones((8, 8)))
-        assert np.isclose(spec[0, 0], 64.0)
-        spec[0, 0] = 0
-        assert np.abs(spec).max() < 1e-12
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        back = np.fft.ifft2(fft2(x))
-        assert np.abs(back - x).max() < 1e-10
-
-    @pytest.mark.parametrize("shape", [(32, 32), (64, 48), (256, 256)])
-    def test_round_trip_relative_l2(self, shape):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(shape)
-        back = np.fft.ifft2(fft2(x))
-        err = np.linalg.norm(back - x) / np.linalg.norm(x)
-        assert err < 1e-10
-
-    def test_pure_cosine_bins(self):
-        y, x = np.mgrid[0:8, 0:8].astype(float)
-        spec = fft2(np.cos(2 * np.pi * x / 8))
-        energy = np.abs(spec) ** 2
-        expected = np.zeros((8, 8))
-        expected[0, 1] = expected[0, 7] = (64 / 2.0) ** 2  # N/2 per cosine line
-        assert np.allclose(energy, expected, atol=1e-18)
-
-    def test_real_input_bytes_and_double_precision(self):
-        # numpy 2 transforms float32 in single precision; fft2 widens first
-        rng = np.random.default_rng(4)
-        for shape in [(1, 1), (1, 7), (8, 8), (9, 14), (64, 48)]:
-            x = rng.standard_normal(shape)
-            want = np.fft.fft2(x.astype(np.complex128))
-            assert fft2(x).tobytes() == want.tobytes()
-            x32 = x.astype(np.float32)
-            got = fft2(x32)
-            assert got.dtype == np.complex128
-            assert got.tobytes() == np.fft.fft2(x32.astype(np.complex128)).tobytes()
-
-    def test_matches_direct_dft(self):
-        rng = np.random.default_rng(2)
-        img = rng.standard_normal((8, 8))
-        assert np.abs(fft2(img) - direct_dft2(img)).max() < 1e-9
-
-    def test_parseval(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((64, 64))
-        lhs = np.sum(np.abs(x) ** 2)
-        rhs = np.sum(np.abs(fft2(x)) ** 2) / x.size
-        assert abs(lhs - rhs) / lhs < 1e-8
 
 
 class TestGaussianBlur:

@@ -52,6 +52,11 @@ class TestOrientationError:
         assert orientation_error(fo, ref) == 0.0
         assert valid_fraction(fo, ref) == 63 / 64
 
+    def test_valid_fraction_rejects_shape_mismatch(self):
+        # (64, 64) and (1, 64) would broadcast together
+        with pytest.raises(ValueError, match="shape mismatch"):
+            valid_fraction(full_map(np.zeros((64, 64))), full_map(np.zeros((1, 64))))
+
     def test_border_exclusion(self):
         angles = np.zeros((8, 8))
         angles[0, :] = 1.3  # only border pixels disagree

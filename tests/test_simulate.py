@@ -17,9 +17,10 @@ from fringeproc.maps import (
 )
 from fringeproc.simulate import (
     AMPLITUDE_RANGE,
+    KERNEL_COUNT_RANGE,
+    SIGMA_FRACTION_RANGE,
     CarrierSpec,
     DatasetManifest,
-    GaussianKernelSpec,
     add_gaussian_noise,
     derive_seed,
     gen_blob_mask_phase,
@@ -33,7 +34,6 @@ from fringeproc.simulate import (
     make_rng,
     peaks_surface,
     render_fringe,
-    render_gaussian_kernels,
 )
 
 
@@ -67,14 +67,19 @@ def oracle_carrier(shape, carrier):
     return x * np.cos(carrier.theta) * k + y * np.sin(carrier.theta) * k
 
 
-def oracle_kernels(shape, kernels):
+def oracle_gaussian_bumps(shape, seed):
     rows, cols = shape
+    m = min(rows, cols)
+    rng = make_rng(seed)
+    count = int(rng.integers(KERNEL_COUNT_RANGE[0], KERNEL_COUNT_RANGE[1] + 1))
     y, x = np.mgrid[0:rows, 0:cols].astype(np.float64)
     phase = np.zeros((rows, cols))
-    for k in kernels:
-        phase += k.amplitude * np.exp(
-            -((x - k.cx) ** 2 + (y - k.cy) ** 2) / (2.0 * k.sigma**2)
-        )
+    for _ in range(count):
+        cx = rng.uniform(0, cols - 1)
+        cy = rng.uniform(0, rows - 1)
+        sigma = rng.uniform(SIGMA_FRACTION_RANGE[0] * m, SIGMA_FRACTION_RANGE[1] * m)
+        amplitude = rng.uniform(*AMPLITUDE_RANGE)
+        phase += amplitude * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * sigma**2))
     return phase
 
 
@@ -125,14 +130,9 @@ class TestBytesMatchFullGridOracles:
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_gaussian_bumps(self, shape):
-        rows, cols = shape
         for seed in ORACLE_SEEDS:
-            rng = make_rng(seed)
-            kernels = [GaussianKernelSpec(rng.uniform(0, cols - 1), rng.uniform(0, rows - 1),
-                                          rng.uniform(0.5, rows), rng.uniform(*AMPLITUDE_RANGE))
-                       for _ in range(int(rng.integers(1, 51)))]
-            assert np.array_equal(render_gaussian_kernels(shape, kernels),
-                                  oracle_kernels(shape, kernels))
+            assert np.array_equal(gen_object_phase_gaussians(shape, seed),
+                                  oracle_gaussian_bumps(shape, seed))
 
 
 class TestGeneratorMemory:
@@ -168,31 +168,11 @@ class TestCarrier:
 
 
 class TestGaussianPhase:
-    def test_zero_kernels(self):
-        phase = render_gaussian_kernels((16, 16), [])
-        assert np.all(phase == 0)
-
-    def test_single_kernel_direct_evaluation(self):
-        k = GaussianKernelSpec(cx=20, cy=20, sigma=10.0, amplitude=1.0)
-        phase = render_gaussian_kernels((41, 41), [k])
-        assert np.isclose(phase[20, 20], 1.0)
-        assert np.isclose(phase[20, 30], np.exp(-0.5))  # 10 px = one sigma away
-
-    def test_two_identical_kernels_double(self):
-        k = GaussianKernelSpec(cx=10, cy=12, sigma=4.0, amplitude=-2.0)
-        one = render_gaussian_kernels((32, 32), [k])
-        two = render_gaussian_kernels((32, 32), [k, k])
-        assert np.array_equal(two, 2 * one)
-
     def test_seed_determinism(self):
         a = gen_object_phase_gaussians((32, 32), seed=99)
         b = gen_object_phase_gaussians((32, 32), seed=99)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, gen_object_phase_gaussians((32, 32), seed=100))
-
-    def test_center_outside_bounds_rejected(self):
-        with pytest.raises(ValueError, match="bounds"):
-            render_gaussian_kernels((8, 8), [GaussianKernelSpec(50, 2, 1.0, 1.0)])
 
 
 class TestPeaks:
@@ -269,6 +249,26 @@ class TestGroundTruthMaps:
     def test_constant_phase_all_invalid(self):
         fo = ground_truth_orientation(np.full((16, 16), 1.0))
         assert not fo.valid.any()
+
+    def test_direction_of_linear_field_exact_everywhere(self):
+        # the one-sided border stencils are also exact on a plane
+        y, x = np.mgrid[0:20, 0:24].astype(float)
+        beta = ground_truth_direction(1.25 * x - 0.75 * y)
+        assert np.all(beta == np.mod(np.arctan2(1.25, -0.75), 2 * np.pi))
+
+    def test_direction_of_carrier_exact_everywhere(self):
+        # phase of a T=14, theta=0 carrier: d/dx = 2*pi/14, d/dy = 0
+        y, x = np.mgrid[0:16, 0:16].astype(float)
+        assert np.all(ground_truth_direction(x * 2 * np.pi / 14) == np.pi / 2)
+
+    def test_direction_stencil_central_inside_one_sided_at_edges(self):
+        # d/dx of x^2 / 2: central differences give x exactly inside, the
+        # one-sided edge stencils 0.5 and n - 1.5; d/dy of 3y is 3 everywhere
+        n = 12
+        y, x = np.mgrid[0:10, 0:n].astype(float)
+        gx = np.concatenate([[0.5], np.arange(1.0, n - 1), [n - 1.5]])
+        want = np.broadcast_to(np.mod(np.arctan2(gx, 3.0), 2 * np.pi), y.shape)
+        assert np.array_equal(ground_truth_direction(x**2 / 2 + 3 * y), want)
 
     def test_direction_carrier(self):
         beta = ground_truth_direction(gen_carrier((32, 32), CarrierSpec(14.0, 0.0)))
