@@ -139,6 +139,14 @@ def _read_image(path) -> np.ndarray:
     return single_channel(read_container(path), path)
 
 
+def _same_shape(path_a, a, path_b, b):
+    """(a, b), two maps read from path_a and path_b; a FormatError naming
+    both files if their shapes differ."""
+    if a.shape != b.shape:
+        raise FormatError(f"{path_a} has shape {a.shape} but {path_b} has shape {b.shape}")
+    return a, b
+
+
 def _number(kind, accept, bound: str):
     """An argparse type: a ``kind`` value for which ``accept`` holds, else
     'must be {bound}' (NaN fails every comparison, so it is never accepted)."""
@@ -274,8 +282,8 @@ def cmd_unwrap(args) -> int:
 
 
 def cmd_demodulate(args) -> int:
-    fringe = _read_image(args.fringe)
-    beta = _read_image(args.direction)
+    fringe, beta = _same_shape(args.fringe, _read_image(args.fringe),
+                               args.direction, _read_image(args.direction))
     wrapped, unwrapped, info = demodulate(fringe, beta)
     for w in info["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
@@ -289,8 +297,8 @@ def cmd_demodulate(args) -> int:
 def cmd_evaluate(args) -> int:
     border = args.exclude_border
     if args.metric == "oe":
-        pred = read_orientation(args.pred)
-        ref = read_orientation(args.ref)
+        pred, ref = _same_shape(args.pred, read_orientation(args.pred),
+                                args.ref, read_orientation(args.ref))
         report = EvalReport(
             method=str(args.pred),
             orientation_error=orientation_error(pred, ref, border),
@@ -300,12 +308,13 @@ def cmd_evaluate(args) -> int:
     elif args.metric == "rmse-sin":
         if border:
             raise UsageError("--metric rmse-sin scores every pixel: --exclude-border must be 0")
-        r_sin, r_cos = rmse_channels(read_encoding(args.pred), read_encoding(args.ref))
+        r_sin, r_cos = rmse_channels(*_same_shape(args.pred, read_encoding(args.pred),
+                                                  args.ref, read_encoding(args.ref)))
         report = EvalReport(method=str(args.pred), rmse_sin=r_sin, rmse_cos=r_cos,
                             excluded_border=0)
     else:  # rmse-phase
-        pred = _read_image(args.pred)
-        ref = _read_image(args.ref)
+        pred, ref = _same_shape(args.pred, _read_image(args.pred),
+                                args.ref, _read_image(args.ref))
         report = EvalReport(method=str(args.pred),
                             rmse_phase=rmse_phase(pred, ref, border),
                             excluded_border=border)

@@ -184,7 +184,8 @@ def _orientation_from_averaged(gx, gy, win: WindowSpec) -> OrientationMap:
     count = win.w * win.w
     c_avg = _box_sum(gx**2 - gy**2, win) / count
     s_avg = _box_sum(2.0 * gx * gy, win) / count
-    valid = np.hypot(c_avg, s_avg) >= AVERAGED_MAGNITUDE_EPS
+    with np.errstate(over="ignore"):  # a magnitude that squares to inf is valid
+        valid = c_avg * c_avg + s_avg * s_avg >= AVERAGED_MAGNITUDE_EPS**2
     alpha = 0.5 * np.arctan2(s_avg, c_avg)
     # alpha lies in [-pi/2, pi/2], so pi/2 - alpha lies in [0, pi] and its
     # value mod pi is itself, but for pi, which folds to 0

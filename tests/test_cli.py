@@ -411,6 +411,28 @@ class TestEvaluate:
         assert f"error: {peaks_object}: expected a (2, rows, cols)" in capsys.readouterr().err
 
 
+# (command argv before the two files, their options, the (2, ...) stack
+# rmse-sin reads instead of a single-channel map)
+SHAPE_MISMATCH = {
+    "evaluate-oe": (["evaluate", "--metric", "oe"], ["--pred", "--ref"], False),
+    "evaluate-rmse-sin": (["evaluate", "--metric", "rmse-sin"], ["--pred", "--ref"], True),
+    "evaluate-rmse-phase": (["evaluate", "--metric", "rmse-phase"], ["--pred", "--ref"], False),
+    "demodulate": (["demodulate", "--out-wrapped", "w.fpai", "--out-phase", "p.fpai"],
+                   ["--fringe", "--direction"], False),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_MISMATCH))
+def test_shape_mismatch_is_format_error(case, tmp_path):
+    # the inputs, not the arithmetic, are at fault: exit 3 naming both files
+    argv, (opt_a, opt_b), stack = SHAPE_MISMATCH[case]
+    a, b = tmp_path / "a.fpai", tmp_path / "b.fpai"
+    for path, shape in ((a, (16, 16)), (b, (1, 16))):
+        write_container(path, np.full((2, *shape) if stack else shape, 0.5))
+    line = one_error_line(tmp_path, 3, *argv, opt_a, a, opt_b, b)
+    assert str(a) in line and str(b) in line
+
+
 class TestOrientClassic:
     def test_estimates_and_reports(self, peaks_object, tmp_path, capsys):
         fo_out = tmp_path / "fo.fpai"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fringeproc import orientation
 from fringeproc.image import gaussian_blur
 from fringeproc.maps import circular_orientation_error
 from fringeproc.metrics import orientation_error
@@ -266,7 +267,8 @@ def mod_formula_orientation(gx, gy, win):
     count = win.w * win.w
     c_avg = _box_sum(gx**2 - gy**2, win) / count
     s_avg = _box_sum(2.0 * gx * gy, win) / count
-    valid = np.hypot(c_avg, s_avg) >= 1e-9
+    with np.errstate(over="ignore"):
+        valid = c_avg * c_avg + s_avg * s_avg >= 1e-9**2
     alpha = 0.5 * np.arctan2(s_avg, c_avg)
     return np.where(valid, np.mod(np.pi / 2.0 - alpha, np.pi), 0.0), valid
 
@@ -282,6 +284,22 @@ class TestAveragedOrientation:
         angles, valid = mod_formula_orientation(gx, gy, win)
         assert got.angles.tobytes() == angles.tobytes()
         assert np.array_equal(got.valid, valid)
+
+    # (c, s) averages at the 1e-9 magnitude floor, each with its validity:
+    # the floor itself, the float below it, a 3-4-5 vector on it, one whose
+    # square underflows to 0 and one whose square overflows to inf
+    FLOOR_CASES = [((1e-9, 0.0), True), ((np.nextafter(1e-9, 0.0), 0.0), False),
+                   ((6e-10, 8e-10), True), ((1e-170, 0.0), False), ((1e160, 0.0), True)]
+
+    def test_validity_at_the_magnitude_floor(self, monkeypatch):
+        # the window sums are replaced by 4 (c, s), so that a 2 px window's
+        # averages are (c, s) exactly
+        pairs, want = zip(*self.FLOOR_CASES)
+        c, s = zip(*pairs)
+        sums = iter([4.0 * np.array([c]), 4.0 * np.array([s])])
+        monkeypatch.setattr(orientation, "_box_sum", lambda a, win: next(sums))
+        got = _orientation_from_averaged(np.zeros((1, 5)), np.zeros((1, 5)), WindowSpec(2))
+        assert got.valid.tolist() == [list(want)]
 
     def test_pi_folds_to_zero(self):
         # 2 * 5e-324 * -0.5 averages to -0.0 over a window, and
