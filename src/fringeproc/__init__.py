@@ -19,12 +19,10 @@ from .image import gaussian_blur
 from .maps import (
     OrientationEncoding,
     OrientationMap,
-    circular_direction_error,
-    circular_orientation_error,
     decode_orientation,
     encode_orientation,
 )
-from .metrics import EvalReport, orientation_error, rmse_channels, rmse_phase
+from .metrics import orientation_error, rmse_phase
 from .network import (
     ModelWeights,
     NetworkConfig,
@@ -38,9 +36,7 @@ from .network import (
 from .orientation import (
     WindowSpec,
     cpfg_orientation,
-    estimate_dominant_period,
     gradient_orientation,
-    plane_fit_gradients,
     prefilter,
 )
 from .simulate import (
@@ -49,7 +45,6 @@ from .simulate import (
     add_gaussian_noise,
     gen_blob_mask_phase,
     gen_carrier,
-    gen_object_phase_gaussians,
     gen_peaks_phase,
     ground_truth_direction,
     ground_truth_orientation,
@@ -57,8 +52,8 @@ from .simulate import (
     make_dataset,
     render_fringe,
 )
-from .hst import demodulate, demodulate_phase, make_spiral_filter, quadrature
-from .training import Sample, TrainConfig, adam_step, load_samples, loss_mse, train
+from .hst import demodulate, quadrature
+from .training import TrainConfig, adam_step, load_samples, train
 from .unwrap import orientation_to_direction, reliability_map, unwrap_phase_2d
 
 __version__ = "0.1.0"

@@ -402,6 +402,10 @@ def cmd_pipeline(args) -> int:
     if gt is not None and not (isinstance(gt, dict)
                                and all(isinstance(gt.get(k), str) for k in ("fo", "phase"))):
         raise FormatError(f"{args.fringe}: sidecar ground_truth needs 'fo' and 'phase' file names")
+    if gt is not None:  # read before any stage runs, so a mismatch costs no chain
+        fo_path, phase_path = (Path(args.fringe).parent / gt[k] for k in ("fo", "phase"))
+        _, fo_ref = _same_shape(args.fringe, fringe, fo_path, read_orientation(fo_path))
+        _, phase_ref = _same_shape(args.fringe, fringe, phase_path, _read_image(phase_path))
     weights = load_weights(args.model)
     pre = prefilter(fringe)
     fo = infer_orientation(weights, pre)
@@ -410,10 +414,7 @@ def cmd_pipeline(args) -> int:
 
     report = sign_flipped = None
     if gt is not None:
-        base = Path(args.fringe).parent
         border = args.exclude_border
-        fo_ref = read_orientation(base / gt["fo"])
-        phase_ref = _read_image(base / gt["phase"])
         # the direction branch is inherently ambiguous; a flipped branch
         # negates the demodulated phase, so score the better global sign
         rmse_same = rmse_phase(unwrapped, phase_ref, border)

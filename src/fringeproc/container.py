@@ -82,14 +82,9 @@ def write_container(path, stack, meta: dict | None = None) -> None:
     write_atomic(path, HEADER.pack(MAGIC, VERSION, rows, cols, channels, 0),
                  encode_samples(arr, path))
     if meta is not None:
-        write_sidecar(path, meta)
-
-
-def write_sidecar(path, meta: dict) -> None:
-    kind = meta.get("kind")
-    if kind is not None and kind not in SIDECAR_KINDS:
-        raise ValueError(f"unknown sidecar kind {kind!r}")
-    write_json(sidecar_path(path), meta)
+        if meta.get("kind") not in (None, *SIDECAR_KINDS):
+            raise ValueError(f"unknown sidecar kind {meta['kind']!r}")
+        write_json(sidecar_path(path), meta)
 
 
 def read_tagged(path, header: struct.Struct, magic: bytes, version: int):

@@ -29,27 +29,6 @@ QUADRATURE_MEAN_WARN = 0.05
 DEMOD_MAGNITUDE_EPS = 1e-12
 
 
-def make_spiral_filter(rows: int, cols: int) -> np.ndarray:
-    """S(u,v) = (u + i*v)/sqrt(u^2 + v^2) over signed integer frequency bins.
-
-    Bin layout matches numpy's 2D DFT (DC at [0, 0], negative frequencies in the upper
-    halves); S(0,0) = 0 removes the singular DC bin. ``quadrature`` applies
-    this filter through its half-plane parts (``_half_plane_factors``).
-    """
-    n = MIN_ESTIMATOR_SIZE
-    if rows < n or cols < n:
-        raise ValueError(f"spiral filter needs at least an {n}x{n} grid")
-    v = np.fft.fftfreq(rows) * rows  # y-frequency index per row
-    u = np.fft.fftfreq(cols) * cols  # x-frequency index per column
-    uu = u[np.newaxis, :]
-    vv = v[:, np.newaxis]
-    radius = np.hypot(uu, vv)
-    radius[0, 0] = 1.0
-    spiral = (uu + 1j * vv) / radius
-    spiral[0, 0] = 0.0
-    return spiral
-
-
 def _half_plane_factors(rows: int, cols: int):
     """The Hermitian and anti-Hermitian parts of the spiral filter on the
     real FFT's half plane (columns 0 .. cols // 2), as (H, -i * A).

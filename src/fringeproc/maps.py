@@ -78,15 +78,3 @@ def decode_orientation(enc: OrientationEncoding) -> OrientationMap:
     angles += 0.0
     angles[~valid] = 0.0
     return OrientationMap(angles=angles, valid=valid)
-
-
-def circular_orientation_error(a, b) -> np.ndarray:
-    """Pointwise distance between mod-pi angles, in [0, pi/2]."""
-    d = np.mod(np.asarray(a) - np.asarray(b), np.pi)
-    return np.minimum(d, np.pi - d)
-
-
-def circular_direction_error(a, b) -> np.ndarray:
-    """Pointwise distance between mod-2pi angles, in [0, pi]."""
-    d = np.mod(np.asarray(a) - np.asarray(b), 2.0 * np.pi)
-    return np.minimum(d, 2.0 * np.pi - d)

@@ -10,9 +10,11 @@ Every window is a whole w x w block. It spans offsets [-lo, +hi] about its
 pixel and shifts inward at the border (it starts at clip(i - lo, 0, n - w)
 on each axis), so no window is clipped and border pixels get a full fit.
 Window sums and plane-fit moments are taken directly over every whole
-window, one axis at a time, from shifted slices (no summed-area table, whose
-differences of large running sums cancel); the border pixels repeat the
-first and last windows' values.
+window, one axis at a time, as a sum of the w shifted slices of its offsets,
+so they cost O(w) per sample (no summed-area table, whose differences of
+large running sums cancel); w = 2, the paper's reference window, is the
+window of every workload. The border pixels repeat the first and last
+windows' values.
 
 Both estimators expect prefiltered input (approximately zero mean, unit
 amplitude); ``prefilter`` is the simplified bandpass/normalize stand-in used
@@ -119,40 +121,25 @@ def _window_sums(a: np.ndarray, w: int, axis: int, moment: bool = False):
     Returns (S, D) with S(c) = sum_j a(c + j) and, with ``moment``, the
     doubled centred first moment D(c) = sum_j (2j - (w - 1)) a(c + j) over
     j = 0 .. w - 1 (None without it); both are n - w + 1 long along ``axis``.
-    Windows of m samples double by shifted slices, S_2m(c) = S_m(c) +
-    S_m(c + m), and a window of a samples followed by one of b joins as
-    D_(a+b)(c) = D_a(c) + D_b(c + a) + a * S_b(c + a) - b * S_a(c); w is
-    built from its binary digits, so the cost grows as log w.
+    Both are direct sums over the w offsets, one shifted slice each, so the
+    cost grows as w; w = 2, the reference window, is every workload's. The
+    moment's weights are antisymmetric, so offset j pairs with w - 1 - j:
+    D(c) = sum_(j < (w - 1) / 2) (w - 1 - 2j) (a(c + w - 1 - j) - a(c + j)).
     """
+    length = a.shape[axis] - w + 1
 
-    def part(x, start, length):
-        return x[start : start + length] if axis == 0 else x[:, start : start + length]
+    def part(j):  # offset j of every whole window
+        return a[j : j + length] if axis == 0 else a[:, j : j + length]
 
-    n = a.shape[axis]
-
-    def join(first, second, a_len, b_len):
-        # a window of a_len samples at c, then one of b_len samples at c + a_len
-        length = n - a_len - b_len + 1
-        (s1, d1), (s2, d2) = first, second
-        s1, s2 = part(s1, 0, length), part(s2, a_len, length)
-        if not moment:
-            return s1 + s2, None
-        d = a_len * s2 - b_len * s1
-        for term, start in ((d1, 0), (d2, a_len)):
-            if term is not None:  # None is the zero moment of a 1-sample window
-                d += part(term, start, length)
-        return s1 + s2, d
-
-    power, m = (a, None), 1  # the windows of m samples
-    total, r = None, 0  # the windows of the first r samples
-    while True:
-        if w & m:
-            total = power if total is None else join(total, power, r, m)
-            r += m
-        if r == w:
-            return total
-        power = join(power, power, m, m)
-        m *= 2
+    total = part(0) + part(1)
+    for j in range(2, w):
+        total += part(j)
+    if not moment:
+        return total, None
+    doubled = (w - 1) * (part(w - 1) - part(0))
+    for j in range(1, w // 2):
+        doubled += (w - 1 - 2 * j) * (part(w - 1 - j) - part(j))
+    return total, doubled
 
 
 def _edge_pad(core: np.ndarray, win: WindowSpec) -> np.ndarray:

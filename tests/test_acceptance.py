@@ -16,8 +16,6 @@ from fringeproc.errors import BadMagicError, TruncatedPayloadError, VersionMisma
 from fringeproc.hst import demodulate
 from fringeproc.maps import (
     OrientationMap,
-    circular_direction_error,
-    circular_orientation_error,
     decode_orientation,
     encode_orientation,
 )
@@ -48,6 +46,7 @@ from fringeproc.simulate import (
 )
 from fringeproc.training import TrainConfig, load_samples, loss_mse, train
 from fringeproc.unwrap import orientation_to_direction
+from oracles import circular_direction_error, circular_orientation_error
 from test_network import activation_signature
 
 pytestmark = pytest.mark.slow

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fringeproc
+from fringeproc import cli
 from fringeproc.cli import main
 from fringeproc.container import (SIDECAR_KINDS, read_container, read_sidecar,
                                   write_container, write_json)
@@ -658,6 +659,26 @@ class TestPipeline:
                        "--out-dir", out_dir, "--exclude-border", "8") == 0
             outs.append((out_dir / "phase.fpai").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("key", ["fo", "phase"])
+    def test_ground_truth_shape_mismatch_fails_before_the_chain(self, key, tmp_path,
+                                                                 tiny_model, monkeypatch,
+                                                                 capsys):
+        obj = tmp_path / "obj.fpai"
+        assert run("simulate", "--mode", "object", "--out", obj,
+                   "--rows", "64", "--cols", "64") == 0
+        truth = tmp_path / read_sidecar(obj)["ground_truth"][key]
+        write_container(truth, np.full((32, 32), 0.5))
+
+        def chain_started(*args):
+            raise AssertionError("pipeline ran a stage")
+
+        monkeypatch.setattr(cli, "infer_orientation", chain_started)
+        assert run("pipeline", "--fringe", obj, "--model", tiny_model,
+                   "--out-dir", tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert str(obj) in err and str(truth) in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_cli_import_loads_no_process_pool():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fringeproc.hst import demodulate, demodulate_phase, make_spiral_filter, quadrature
+from fringeproc.hst import demodulate, demodulate_phase, quadrature
 from fringeproc.metrics import rmse_phase
 from fringeproc.simulate import (
     CarrierSpec,
@@ -10,6 +10,7 @@ from fringeproc.simulate import (
     ground_truth_direction,
     render_fringe,
 )
+from oracles import make_spiral_filter
 
 
 def full_plane_quadrature(s, beta):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fringeproc import orientation
 from fringeproc.image import gaussian_blur
-from fringeproc.maps import circular_orientation_error
 from fringeproc.metrics import orientation_error
 from fringeproc.orientation import (
     WindowSpec,
@@ -32,6 +31,7 @@ from fringeproc.simulate import (
     render_fringe,
 )
 from fringeproc.unwrap import orientation_to_direction
+from oracles import circular_orientation_error
 from test_unwrap import ORACLE_KINDS, oracle_map
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -260,6 +260,14 @@ class TestBoxSum:
                 want[i, j] = img[r0[i] : r0[i] + w, c0[j] : c0[j] + w].sum()
         assert np.array_equal(_box_sum(img, win), want)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (37, 91), (256, 256)])
+    def test_reference_window_bytes(self, shape):
+        # w = 2, every workload's window: the four samples summed in pairs
+        img = np.random.default_rng(shape[1]).standard_normal(shape)
+        want = (img[:-1, :-1] + img[:-1, 1:]) + (img[1:, :-1] + img[1:, 1:])
+        win = WindowSpec(2)
+        assert _box_sum(img, win).tobytes() == orientation._edge_pad(want, win).tobytes()
+
 
 def mod_formula_orientation(gx, gy, win):
     """``_orientation_from_averaged`` as first written, with np.mod: the
@@ -335,6 +343,18 @@ def fsum_plane_fit(img, win):
 
 class TestSeparablePlaneFit:
     SHAPES = [(16, 16), (37, 91), (256, 256)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_reference_window_bytes(self, shape):
+        # w = 2, every workload's window: each slope is the mean of the
+        # window's two differences along its axis
+        img = noisy_fringe(shape, seed=3)
+        win = WindowSpec(2)
+        want_p1 = ((img[:-1, 1:] - img[:-1, :-1]) + (img[1:, 1:] - img[1:, :-1])) / 2
+        want_p2 = ((img[1:, :-1] + img[1:, 1:]) - (img[:-1, :-1] + img[:-1, 1:])) / 2
+        p1, p2 = plane_fit_gradients(img, win)
+        assert p1.tobytes() == orientation._edge_pad(want_p1, win).tobytes()
+        assert p2.tobytes() == orientation._edge_pad(want_p2, win).tobytes()
 
     @pytest.mark.parametrize("w", [2, 3, 5, 17])
     def test_slopes_match_fsum_window_loop(self, w):

@@ -11,7 +11,6 @@ from fringeproc.image import gaussian_blur
 from fringeproc.maps import (
     OrientationEncoding,
     OrientationMap,
-    circular_orientation_error,
     decode_orientation,
     encode_orientation,
 )
@@ -35,6 +34,7 @@ from fringeproc.simulate import (
     peaks_surface,
     render_fringe,
 )
+from oracles import circular_orientation_error
 
 
 def traced_peak(fn, *args):

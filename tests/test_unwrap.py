@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import fringeproc
 from fringeproc import hst, orientation, unwrap
 from fringeproc.errors import NumericalError
-from fringeproc.maps import OrientationMap, circular_direction_error
+from fringeproc.maps import OrientationMap
 from fringeproc.metrics import rmse_phase
 from fringeproc.simulate import (
     CarrierSpec,
@@ -33,6 +33,7 @@ from fringeproc.unwrap import (
     reliability_map,
     unwrap_phase_2d,
 )
+from oracles import circular_direction_error
 
 TAU = 2 * np.pi
 
