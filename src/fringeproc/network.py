@@ -7,21 +7,27 @@ upsample back to the input size; path outputs are concatenated and a final
 linear 3x3 conv produces the (sin 2FO, cos 2FO) channels. Same-padding
 everywhere so output height/width always equal the input's.
 
-Forward/backward are exact (no autograd). Convolutions run as one GEMM per
-cache-sized block of output rows: the k^2 kernel taps of the zero-padded,
-row-flattened input are contiguous shifted slices, stacked into a reused
-buffer, so no full im2col patch matrix is ever built. Max-pooling takes the
-max of four strided views; its backward routes each gradient to the first
-tile element equal to the pooled value (argmax's pick). Nearest upsample
-block-sums gradients. ``forward`` runs the network over row bands of the
-input, sized by bytes, so its working set stays flat as frames grow. Each band
-carries a halo of extra rows above and below, as many as the zero padding at
-a band edge corrupts (``_halo``), and only its interior rows reach the output;
-a frame that fits one band runs whole. Within a pass, ReLU and the residual
-add run in place and each activation is dropped once the next layer has read
-it. ``backward`` runs one pass over the whole image, caches only post-ReLU
-activations (pooled ones included) and takes every ReLU gate and pooling route
-from them.
+Forward/backward are exact (no autograd). Every activation and gradient
+passed between layers lives in one zero-bordered buffer,
+(C, H + 2r + 1, W + 2r) with r = kernel_size // 2 and the image at
+[r:r+H, r:r+W]; ReLU, the residual add, max-pooling and upsampling all keep
+the border at zero, so it is every convolution's same padding. A convolution
+runs as one GEMM per cache-sized block of output rows: the k^2 kernel taps of
+the row-flattened bordered input are contiguous shifted slices, stacked into a
+reused buffer, so no full im2col patch matrix is ever built. Each GEMM writes
+straight into the bordered output; its junk columns land on the border, which
+is zeroed after the last block. Max-pooling takes the max of four strided
+views; its backward routes each gradient to the first tile element equal to
+the pooled value (argmax's pick). Nearest upsample block-sums gradients.
+``forward`` runs the network over row bands of the input, sized by bytes, so
+its working set stays flat as frames grow. Each band carries a halo of extra
+rows above and below, as many as the zero padding at a band edge corrupts
+(``_halo``), and only its interior rows reach the output; a frame that fits
+one band runs whole. Within a pass, ReLU and the residual add run in place and
+each activation is dropped once the next layer has read it. ``backward`` runs
+one pass over the whole image, caches only post-ReLU activations (pooled ones
+included), takes every ReLU gate and pooling route from them and applies each
+gate in place.
 Weights live as float64 in memory and as float32 in the FPAW file. The
 forward pass computes in the input's precision: float32 for float32 input
 (``infer_orientation`` casts to it, as FPAI samples are float32 anyway),
@@ -150,120 +156,145 @@ def build_network(cfg: NetworkConfig, init_seed: int) -> ModelWeights:
 
 
 # --------------------------------------------------------------------------
-# Layer primitives (forward + exact backward)
+# Layer primitives (forward + exact backward), on bordered buffers: the image
+# at [r:r+H, r:r+W] of a (C, H + 2r + 1, W + 2r) array, zeros around it, and a
+# spare bottom row for the last row block's junk columns to read
 
 
 # Bytes in one block of shifted rows (~1 MB, in the input's dtype, so float32
 # blocks hold twice the rows): large enough for BLAS to run at speed, small
 # enough to stay in cache while it is filled.
 _BLOCK_BYTES = 1 << 20
-# Bytes in the zero-padded window of input rows the blocks are cut from
-# (~4 MB, in the input's dtype): a 512 px image is padded a window at a time,
-# never whole.
-_WINDOW_BYTES = 1 << 22
 # Bytes in one band's filters-wide activation (~8 MB, in the input's dtype):
 # ``forward`` runs over bands of that many interior rows, 256 at 512 px wide in
 # float32, so a larger frame runs more bands rather than larger ones.
 _BAND_BYTES = 1 << 23
 
 
+def _bordered(c: int, h: int, w: int, r: int, dtype=np.float64) -> np.ndarray:
+    """A bordered buffer for a (c, h, w) image: its interior unset, its border 0."""
+    a = np.empty((c, h + 2 * r + 1, w + 2 * r), dtype=dtype)
+    _zero_border(a, r)
+    return a
+
+
+def _zero_border(a: np.ndarray, r: int) -> None:
+    """Zero the border of a bordered buffer, leaving its image as it is."""
+    h = a.shape[1] - 2 * r - 1
+    a[:, :r] = 0.0
+    a[:, r + h :] = 0.0
+    a[:, r : r + h, :r] = 0.0
+    a[:, r : r + h, a.shape[2] - r :] = 0.0
+
+
+def _interior(a: np.ndarray, r: int) -> np.ndarray:
+    """The (C, H, W) image inside a bordered buffer, as a view."""
+    return a[:, r : a.shape[1] - r - 1, r : a.shape[2] - r]
+
+
 def _shifted_row_blocks(x: np.ndarray, k: int):
     """Yield (r0, rows, block) covering the output rows of a same-padded conv.
 
-    x is zero-padded a window of output rows at a time, each channel flattened
-    with row stride Wp = W + 2p (plus one spare row), so the input under kernel
-    tap (i, j) for output rows r0..r0+rows-1 is the contiguous slice
-    xf[:, off:off + rows*Wp] with off = (r0 - s0 + i)*Wp + j, s0 being the
-    window's first output row. ``block`` stacks those k^2 slices tap-major,
-    channel-minor into a (k^2*Cin, rows*Wp) matrix; the last 2p columns of each
-    row are junk. The buffers are reused, so consume a block before the next.
-    Both are in x's dtype.
+    x is a bordered buffer, each channel flattened with row stride
+    Wp = W + 2r, so the input under kernel tap (i, j) for output rows
+    r0..r0+rows-1 is the contiguous slice xf[:, off:off + rows*Wp] with
+    off = (r0 + i)*Wp + j. ``block`` stacks those k^2 slices tap-major,
+    channel-minor into a (k^2*Cin, rows*Wp) matrix in x's dtype; the last 2r
+    columns of each row are junk. The buffer is reused, so consume a block
+    before the next.
     """
-    c, h, w = x.shape
-    p = k // 2
-    wp = w + 2 * p
+    c, rows_b, wp = x.shape
+    h = rows_b - 2 * (k // 2) - 1
     depth = k * k * c
-    item = x.dtype.itemsize
-    rows = max(1, min(h, _BLOCK_BYTES // (item * depth * wp)))
-    # output rows per window: whole blocks, at most the image
-    span = min(h, rows * max(1, _WINDOW_BYTES // (item * c * rows * wp)))
-    window = np.zeros((c, span + 2 * p + 1, wp), dtype=x.dtype)
-    xf = window.reshape(c, -1)
+    rows = max(1, min(h, _BLOCK_BYTES // (x.dtype.itemsize * depth * wp)))
+    xf = x.reshape(c, -1)
     buf = np.empty(depth * rows * wp, dtype=x.dtype)
-    for s0 in range(0, h, span):
-        s1 = min(h, s0 + span)
-        # padded row q of the window holds image row s0 + q - p
-        lo, hi = max(0, s0 - p), min(h, s1 + p + 1)
-        window[:, lo + p - s0 : hi + p - s0, p : p + w] = x[:, lo:hi]
-        # rows below the image must be zero, but the window was reused; the
-        # rows above it, and the side columns, were never written
-        window[:, hi + p - s0 :] = 0.0
-        for r0 in range(s0, s1, rows):
-            n = min(rows, s1 - r0) * wp
-            block = buf[: depth * n].reshape(depth, n)
-            for i in range(k):
-                for j in range(k):
-                    off = (r0 - s0 + i) * wp + j
-                    tap = (i * k + j) * c
-                    block[tap : tap + c] = xf[:, off : off + n]
-            yield r0, n // wp, block
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0) * wp
+        block = buf[: depth * n].reshape(depth, n)
+        for i in range(k):
+            for j in range(k):
+                off = (r0 + i) * wp + j
+                tap = (i * k + j) * c
+                block[tap : tap + c] = xf[:, off : off + n]
+        yield r0, n // wp, block
+
+
+def _block_columns(r0: int, rows: int, wp: int, r: int) -> slice:
+    """Where a block's columns lie in a flattened bordered output channel.
+
+    Column (y - r0)*Wp + c of the block is output pixel (y, c), which sits at
+    (y + r)*Wp + r + c; so the junk columns c >= W land on the border: the
+    right one of row y and the left one of row y + 1.
+    """
+    start = (r0 + r) * wp + r
+    return slice(start, start + rows * wp)
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlation with same-padding: (Cin,H,W) -> (Cout,H,W), in x's dtype."""
+    """Cross-correlation with same-padding, in x's dtype: a bordered
+    (Cin,H,W) input gives a bordered (Cout,H,W) output, both with r = k // 2."""
     cout, _, k, _ = w.shape
-    h, ww = x.shape[1], x.shape[2]
-    wp = ww + 2 * (k // 2)
+    r = k // 2
     w_mat = w.transpose(0, 2, 3, 1).reshape(cout, -1).astype(x.dtype, copy=False)
-    out = np.empty((cout, h, ww), dtype=x.dtype)
+    out = np.empty((cout,) + x.shape[1:], dtype=x.dtype)
+    out_flat = out.reshape(cout, -1)
     for r0, rows, block in _shifted_row_blocks(x, k):
-        out[:, r0 : r0 + rows] = (w_mat @ block).reshape(cout, rows, wp)[:, :, :ww]
+        np.matmul(w_mat, block, out=out_flat[:, _block_columns(r0, rows, x.shape[2], r)])
+    _zero_border(out, r)  # the junk columns, and the rows no block wrote
     if b is not None:
-        out += b.astype(x.dtype, copy=False)[:, np.newaxis, np.newaxis]
+        inner = _interior(out, r)
+        np.add(inner, b.astype(x.dtype, copy=False)[:, np.newaxis, np.newaxis], out=inner)
     return out
 
 
 def _kernel_grads(d_out: np.ndarray, x: np.ndarray, k: int):
-    """Gradients of conv2d_same w.r.t. its k x k kernel and bias: (dw, db)."""
+    """Gradients of conv2d_same w.r.t. its k x k kernel and bias: (dw, db).
+
+    d_out is bordered: its zero border is what the junk columns of x's blocks
+    meet, which keeps them out of the kernel gradient.
+    """
     cout, cin = d_out.shape[0], x.shape[0]
-    h, ww = x.shape[1], x.shape[2]
-    wp = ww + 2 * (k // 2)
-    # zeros in the junk columns keep them out of the kernel gradient
-    d_pad = np.zeros((cout, h, wp))
-    d_pad[:, :, :ww] = d_out
-    d_flat = d_pad.reshape(cout, -1)
+    r = k // 2
+    d_flat = d_out.reshape(cout, -1)
     dw_mat = np.zeros((cout, k * k * cin))
     for r0, rows, block in _shifted_row_blocks(x, k):
-        dw_mat += d_flat[:, r0 * wp : (r0 + rows) * wp] @ block.T
+        dw_mat += d_flat[:, _block_columns(r0, rows, x.shape[2], r)] @ block.T
     dw = np.ascontiguousarray(dw_mat.reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
-    return dw, d_out.sum(axis=(1, 2))
+    # numpy sums a strided view in buffer-sized pieces but a contiguous image
+    # pairwise end to end; the copy keeps the latter's bytes at every size
+    return dw, np.ascontiguousarray(_interior(d_out, r)).sum(axis=(1, 2))
 
 
 def conv2d_backward(d_out: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of conv2d_same w.r.t. input, kernel and bias."""
+    """Gradients of conv2d_same w.r.t. input, kernel and bias, for a bordered
+    d_out and x; the input gradient is bordered too."""
     dw, db = _kernel_grads(d_out, x, w.shape[2])
     w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     dx = conv2d_same(d_out, w_flip)
     return dx, dw, db
 
 
-def _maxpool(x: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 max, in x's dtype: the max of four strided views.
+def _maxpool(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2x2 stride-2 max of a (C,H,W) image, in x's dtype: the max of four
+    strided views, written into ``out`` when given (a bordered interior).
 
     np.maximum returns its second argument when the two compare equal (seen
     only as +0.0 against -0.0), so each earlier tile element goes second and
     wins ties, as argmax over the row-major tile would.
     """
-    out = np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2])
+    out = np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2], out=out)
     np.maximum(x[:, 1::2, 0::2], out, out=out)
     np.maximum(x[:, 1::2, 1::2], out, out=out)
     return out
 
 
-def _maxpool_backward(d_out: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+def _maxpool_backward(d_out: np.ndarray, x: np.ndarray, pooled: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Route each pooled gradient to the first tile element (row-major) of x
-    equal to its pooled value, which is argmax's pick; the rest get 0."""
-    dx = np.zeros(x.shape)
+    equal to its pooled value, which is argmax's pick; the rest get 0. Writes
+    into ``out`` when given, which must hold zeros of x's shape."""
+    dx = np.zeros(x.shape) if out is None else out
     free = np.ones(pooled.shape, dtype=bool)  # tiles not yet routed
     for i in (0, 1):
         for j in (0, 1):
@@ -273,9 +304,11 @@ def _maxpool_backward(d_out: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> n
     return dx
 
 
-def upsample_nearest_backward(d_out: np.ndarray, factor: int) -> np.ndarray:
+def upsample_nearest_backward(d_out: np.ndarray, factor: int,
+                              out: np.ndarray | None = None) -> np.ndarray:
     c, h, w = d_out.shape
-    return d_out.reshape(c, h // factor, factor, w // factor, factor).sum(axis=(2, 4))
+    return d_out.reshape(c, h // factor, factor, w // factor, factor).sum(axis=(2, 4),
+                                                                          out=out)
 
 
 # --------------------------------------------------------------------------
@@ -300,20 +333,26 @@ def _halo(cfg: NetworkConfig) -> int:
 def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
     """The network pass behind ``forward`` and ``backward``: (output, caches).
 
-    ReLU and the residual add run in place, so every kept activation is
-    post-ReLU and ``backward`` reads each gate from it (relu(s) > 0 iff s > 0).
+    Every activation is a bordered buffer (r = kernel_size // 2), and the
+    output is the (2, H, W) image view of the final conv's. ReLU and the
+    residual add run in place, on the border's zeros too, so every kept
+    activation is post-ReLU and ``backward`` reads each gate from it
+    (relu(s) > 0 iff s > 0).
     img is a float32 or float64 array and the pass computes in its dtype; the
     callers cast it and check its shape.
     Unless ``record`` is set, caches is None and each activation is dropped as
     soon as the next layer has consumed it. With ``record``, caches holds the
-    input "x0", the final conv's input "concat" and, per path, the input conv's
-    output "in", each pooling's (input, output) pair "pools" and per residual
-    block "x_in", "r1" (the inner ReLU) and "out" (the next block's "x_in").
+    bordered input "x0", the final conv's input "concat" and, per path, the
+    input conv's output "in", each pooling's (input, output) pair of image
+    views "pools" and per residual block "x_in", "r1" (the inner ReLU) and
+    "out" (the next block's "x_in").
     """
     cfg = weights.config
     t = weights.tensors
     f = cfg.filters
-    x0 = img[np.newaxis]  # (1, H, W)
+    r = cfg.kernel_size // 2
+    x0 = _bordered(1, *img.shape, r, img.dtype)
+    _interior(x0, r)[0] = img
     caches = {"x0": x0, "paths": []} if record else None
 
     # allocated after the first path, so it is not live during that path's
@@ -327,11 +366,12 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
             caches["paths"].append(cache)
 
         for _ in range(p - 1):
-            pooled = _maxpool(h)
+            x = _interior(h, r)
+            h = _bordered(f, x.shape[1] // 2, x.shape[2] // 2, r, img.dtype)
+            pooled = _maxpool(x, out=_interior(h, r))
             if record:
-                cache["pools"].append((h, pooled))
-            h = pooled
-            del pooled  # else the first block's input outlives that block
+                cache["pools"].append((x, pooled))
+            del x, pooled  # views, else the maps under them outlive their use
 
         for b in range(1, cfg.blocks_per_path + 1):
             x_in = h
@@ -347,16 +387,21 @@ def _forward(weights: ModelWeights, img: np.ndarray, record: bool = False):
             del x_in, r1
 
         if concat is None:
-            concat = np.empty((cfg.paths * f,) + x0.shape[1:], dtype=img.dtype)
-        # nearest-neighbour upsampling, broadcast straight into the path's slice
-        up = concat[(p - 1) * f : p * f].reshape(f, h.shape[1], 2 ** (p - 1), h.shape[2], -1)
-        up[...] = h[:, :, np.newaxis, :, np.newaxis]
-        del h
+            concat = _bordered(cfg.paths * f, *img.shape, r, img.dtype)
+        # nearest-neighbour upsampling: one strided copy into the path's slice
+        # per position in the d x d tile
+        d = 2 ** (p - 1)
+        up = _interior(concat[(p - 1) * f : p * f], r)
+        src = _interior(h, r)
+        for i in range(d):
+            for j in range(d):
+                up[:, i::d, j::d] = src
+        del h, src
 
     out = conv2d_same(concat, t["final.w"], t["final.b"])
     if record:
         caches["concat"] = concat
-    return out, caches
+    return _interior(out, r), caches
 
 
 def forward(weights: ModelWeights, img: np.ndarray) -> OrientationEncoding:
@@ -382,6 +427,7 @@ def forward(weights: ModelWeights, img: np.ndarray) -> OrientationEncoding:
         lo = max(0, s0 - halo)
         band, _ = _forward(weights, x[lo : min(rows, s1 + halo)])
         out[:, s0:s1] = band[:, s0 - lo : s1 - lo]
+        del band  # else it stays alive through the next band's pass
     return OrientationEncoding(sin2=out[0], cos2=out[1])
 
 
@@ -404,7 +450,9 @@ def backward(weights: ModelWeights, img: np.ndarray,
     diff = out - target_arr
     n = diff.size
     loss = float(np.mean(diff**2))
-    d_out = 2.0 * diff / n
+    r = cfg.kernel_size // 2
+    d_out = _bordered(2, *img.shape, r)
+    np.divide(2.0 * diff, n, out=_interior(d_out, r))
 
     grads = {}
     d_concat, grads["final.w"], grads["final.b"] = conv2d_backward(
@@ -418,30 +466,36 @@ def backward(weights: ModelWeights, img: np.ndarray,
 
         factor = 2 ** (p - 1)
         if factor > 1:
-            d_path = upsample_nearest_backward(d_path, factor)
+            full = _interior(d_path, r)
+            d_path = _bordered(f, full.shape[1] // factor, full.shape[2] // factor, r)
+            upsample_nearest_backward(full, factor, out=_interior(d_path, r))
 
+        # each ReLU gate multiplies in place: the ungated gradient is dead
         for b in range(cfg.blocks_per_path, 0, -1):
             blk = cache["blocks"][b - 1]
-            ds = d_path * (blk["out"] > 0.0)
+            d_path *= blk["out"] > 0.0
             dr1, dw2, db2 = conv2d_backward(
-                ds, blk["r1"], t[f"path{p}.block{b}.conv2.w"]
+                d_path, blk["r1"], t[f"path{p}.block{b}.conv2.w"]
             )
             grads[f"path{p}.block{b}.conv2.w"] = dw2
             grads[f"path{p}.block{b}.conv2.b"] = db2
-            dh1 = dr1 * (blk["r1"] > 0.0)
+            dr1 *= blk["r1"] > 0.0
             dx_in, dw1, db1 = conv2d_backward(
-                dh1, blk["x_in"], t[f"path{p}.block{b}.conv1.w"]
+                dr1, blk["x_in"], t[f"path{p}.block{b}.conv1.w"]
             )
             grads[f"path{p}.block{b}.conv1.w"] = dw1
             grads[f"path{p}.block{b}.conv1.b"] = db1
-            d_path = ds + dx_in
+            dx_in += d_path
+            d_path = dx_in
 
         for x, pooled in reversed(cache["pools"]):
-            d_path = _maxpool_backward(d_path, x, pooled)
+            dx = np.zeros((f, x.shape[1] + 2 * r + 1, x.shape[2] + 2 * r))
+            _maxpool_backward(_interior(d_path, r), x, pooled, out=_interior(dx, r))
+            d_path = dx
 
-        d_pre = d_path * (cache["in"] > 0.0)
+        d_path *= cache["in"] > 0.0
         grads[f"path{p}.in.w"], grads[f"path{p}.in.b"] = _kernel_grads(
-            d_pre, caches["x0"], cfg.kernel_size
+            d_path, caches["x0"], cfg.kernel_size
         )
 
     grads = {name: grads[name] for name in t}  # the weights' order

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +37,8 @@ from fringeproc.network import (
     tensor_specs,
 )
 from fringeproc.training import loss_mse
+import oracles
+from oracles import windowed_conv2d_backward, windowed_conv2d_same
 
 TINY = NetworkConfig(paths=2, filters=2, blocks_per_path=1)
 DESK = NetworkConfig(paths=2, filters=16, blocks_per_path=2)  # perfbench's model
@@ -132,8 +137,27 @@ def rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def bordered(x, k):
+    """x (C, H, W) in the bordered buffer of a k x k conv."""
+    r = k // 2
+    return np.pad(x, ((0, 0), (r, r + 1), (r, r)))
+
+
+def unborder(a, k):
+    """The image inside the bordered buffer a, once its border is checked zero."""
+    inner = network._interior(a, k // 2)
+    assert a.shape == bordered(inner, k).shape
+    assert not np.any(bordered(inner, k) != a)
+    return inner
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestConv:
-    """conv2d_same / conv2d_backward against the im2col oracle."""
+    """conv2d_same / conv2d_backward on bordered buffers against the im2col
+    oracle."""
 
     @pytest.mark.parametrize("cin,cout", [(1, 16), (16, 16), (32, 2)])
     @pytest.mark.parametrize("k", [3, 5])
@@ -144,10 +168,11 @@ class TestConv:
         w = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout)
         d_out = rng.standard_normal((cout, *shape))
-        out = conv2d_same(x, w, b)
+        out = unborder(conv2d_same(bordered(x, k), w, b), k)
         assert out.shape == (cout, *shape)
         assert rel_err(out, im2col_conv(x, w, b)) < 1e-12
-        for got, want in zip(conv2d_backward(d_out, x, w), im2col_backward(d_out, x, w)):
+        dx, dw, db = conv2d_backward(bordered(d_out, k), bordered(x, k), w)
+        for got, want in zip((unborder(dx, k), dw, db), im2col_backward(d_out, x, w)):
             assert got.shape == want.shape
             assert rel_err(got, want) < 1e-12
 
@@ -160,16 +185,18 @@ class TestConv:
         w = rng.standard_normal((16, 16, 3, 3))
         b = rng.standard_normal(16)
         d_out = rng.standard_normal((16, 23, 10))
-        assert [rows for _, rows, _ in network._shifted_row_blocks(x, 3)] == [4] * 5 + [3]
-        assert rel_err(conv2d_same(x, w, b), im2col_conv(x, w, b)) < 1e-12
-        for got, want in zip(conv2d_backward(d_out, x, w), im2col_backward(d_out, x, w)):
+        xb = bordered(x, 3)
+        assert [rows for _, rows, _ in network._shifted_row_blocks(xb, 3)] == [4] * 5 + [3]
+        assert rel_err(unborder(conv2d_same(xb, w, b), 3), im2col_conv(x, w, b)) < 1e-12
+        dx, dw, db = conv2d_backward(bordered(d_out, 3), xb, w)
+        for got, want in zip((unborder(dx, 3), dw, db), im2col_backward(d_out, x, w)):
             assert rel_err(got, want) < 1e-12
 
     def test_default_block_size_at_full_resolution(self):
         # at 512 px wide one row of the final layer's 32 channels is over the
         # block budget, so a block still holds one row; the single-channel
         # input conv fits the whole (3-row) image in one block
-        x = np.zeros((32, 3, 512))
+        x = bordered(np.zeros((32, 3, 512)), 3)
         assert [rows for _, rows, _ in network._shifted_row_blocks(x, 3)] == [1, 1, 1]
         assert [rows for _, rows, _ in network._shifted_row_blocks(x[:1], 3)] == [3]
 
@@ -177,15 +204,18 @@ class TestConv:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 8, 8))
         w = rng.standard_normal((3, 2, 3, 3))
-        assert rel_err(conv2d_same(x, w), im2col_conv(x, w, np.zeros(3))) < 1e-12
-        dx, dw, _ = conv2d_backward(rng.standard_normal((3, 8, 8)), x, w)
+        out = conv2d_same(bordered(x, 3), w)
+        assert rel_err(unborder(out, 3), im2col_conv(x, w, np.zeros(3))) < 1e-12
+        dx, dw, _ = conv2d_backward(bordered(rng.standard_normal((3, 8, 8)), 3),
+                                    bordered(x, 3), w)
         assert dx.flags.c_contiguous and dw.flags.c_contiguous
 
     def test_final_layer_memory_stays_near_input_size(self):
         # a 32->2 conv at 256^2: its im2col matrix would be k^2 = 9x the input
-        # (151 MB) and a whole zero-padded copy 1.05x; one padded window of
-        # rows plus one row block must stay well below both
-        x = np.random.default_rng(0).standard_normal((32, 256, 256))
+        # (151 MB) and a whole zero-padded copy 1.05x; the bordered input
+        # needs no copy, so one row block and the output must stay well below
+        # both
+        x = bordered(np.random.default_rng(0).standard_normal((32, 256, 256)), 3)
         w = np.random.default_rng(1).standard_normal((2, 32, 3, 3))
         tracemalloc.start()
         try:
@@ -195,24 +225,68 @@ class TestConv:
             tracemalloc.stop()
         assert peak < 0.5 * x.nbytes
 
-    @pytest.mark.parametrize("k,window_rows", [(3, 4), (5, 1), (5, 3)])
-    def test_many_windows_match_one(self, monkeypatch, k, window_rows):
-        # 3 channels, 11 px wide: windows of 1 row (fewer than the padding p=2),
-        # 3 and 4 rows over a height of 13, so the last window is partial
-        rng = np.random.default_rng(k + window_rows)
-        x = rng.standard_normal((3, 13, 11))
-        w = rng.standard_normal((2, 3, k, k))
-        b = rng.standard_normal(2)
-        d_out = rng.standard_normal((2, 13, 11))
-        # one-row blocks either way, so the kernel gradient sums in one order
-        monkeypatch.setattr(network, "_BLOCK_BYTES", 8 * k * k * 3 * (11 + k - 1))
-        whole = conv2d_same(x, w, b), conv2d_backward(d_out, x, w)
-        monkeypatch.setattr(network, "_WINDOW_BYTES", 8 * 3 * window_rows * (11 + k - 1))
-        assert [rows for _, rows, _ in network._shifted_row_blocks(x, k)] == [1] * 13
-        windowed = conv2d_same(x, w, b), conv2d_backward(d_out, x, w)
-        assert np.array_equal(windowed[0], whole[0])
-        assert all(np.array_equal(got, want) for got, want in zip(windowed[1], whole[1]))
-        assert rel_err(windowed[0], im2col_conv(x, w, b)) < 1e-12
+
+# (Cin, Cout) of the network's three kinds of conv: an input conv, a residual
+# block's conv and the final conv
+CONV_KINDS = [(1, 16), (16, 16), (32, 2)]
+
+
+class TestConvBytes:
+    """The bordered conv against the windowed one it replaced: the same GEMM
+    operands, so the same bytes. Backward is checked in float64, the only
+    precision it runs in."""
+
+    @staticmethod
+    def _check(x, w, b, d_out):
+        k = w.shape[2]
+        out = conv2d_same(bordered(x, k), w, b)
+        assert same_bytes(np.ascontiguousarray(unborder(out, k)),
+                          windowed_conv2d_same(x, w, b))
+        if x.dtype == np.float64:
+            dx, dw, db = conv2d_backward(bordered(d_out, k), bordered(x, k), w)
+            want = windowed_conv2d_backward(d_out, x, w)
+            for got, ref in zip((np.ascontiguousarray(unborder(dx, k)), dw, db), want):
+                assert same_bytes(got, ref)
+
+    @staticmethod
+    def _case(cin, cout, k, shape, dtype):
+        rng = np.random.default_rng(cin * 100 + cout + k + shape[0])
+        return (rng.standard_normal((cin, *shape)).astype(dtype),
+                rng.standard_normal((cout, cin, k, k)), rng.standard_normal(cout),
+                rng.standard_normal((cout, *shape)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,cout", CONV_KINDS)
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("rows,blocks", [(1, 1), (3, 2), (4, 1)])
+    def test_small_blocks_and_windows(self, monkeypatch, dtype, cin, cout, k, rows, blocks):
+        # 13 x 11 images cut into blocks of 1, 3 or 4 rows (so the last block
+        # is partial) and windows of 1, 2 or 1 blocks: windows of 1 row are
+        # fewer than the padding at k = 5, and every window but the first
+        # starts below the image's top
+        x, w, b, d_out = self._case(cin, cout, k, (13, 11), dtype)
+        wp = 11 + k - 1
+        monkeypatch.setattr(network, "_BLOCK_BYTES", rows * x.itemsize * k * k * cin * wp)
+        monkeypatch.setattr(oracles, "WINDOW_BYTES", blocks * rows * x.itemsize * cin * wp)
+        assert oracles.window_rows(x, k) == (rows, rows * blocks)
+        self._check(x, w, b, d_out)
+
+    @pytest.mark.parametrize("dtype,height", [(np.float64, 301), (np.float32, 601)])
+    def test_residual_conv_over_several_default_windows(self, dtype, height):
+        # 16 -> 16 at 256 px wide: 126 (float64) or 252 (float32) rows per
+        # 4 MB window, so three windows, and block rows that do not divide
+        # the height
+        x, w, b, d_out = self._case(16, 16, 3, (height, 256), dtype)
+        rows, span = oracles.window_rows(x, 3)
+        assert -(-height // span) == 3 and height % rows
+        self._check(x, w, b, d_out)
+
+    @pytest.mark.parametrize("dtype,height", [(np.float64, 150), (np.float32, 300)])
+    def test_final_conv_over_several_default_windows(self, dtype, height):
+        x, w, b, d_out = self._case(32, 2, 3, (height, 256), dtype)
+        _, span = oracles.window_rows(x, 3)
+        assert -(-height // span) == 3
+        self._check(x, w, b, d_out)
 
 
 class TestConfig:
@@ -585,6 +659,20 @@ class TestBackward:
         with pytest.raises(ValueError, match="target"):
             backward(w, random_input((8, 8)), random_target((16, 16)))
 
+    def test_desk_peak_below_nineteen_activations(self):
+        # a float64 desk backward at 64^2 peaked at 21.1 activations while each
+        # conv padded a window of its input, and every ReLU gate made a new
+        # gradient
+        w = build_network(DESK, 0)
+        img, target = random_input((64, 64)), random_target((64, 64))
+        tracemalloc.start()
+        try:
+            backward(w, img, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * (16 * 64 * 64 * 8)
+
 
 class TestInference:
     def test_output_range_and_mask(self):
@@ -726,3 +814,13 @@ class TestWeightsFile:
         names = [n for n, _ in tensor_specs(TINY)]
         assert names[0] == "path1.in.w"
         assert names[-2:] == ["final.w", "final.b"]
+
+
+def test_network_cost_prints_time_and_peak():
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "network_cost.py")
+    rows = [line.split() for line in subprocess.run(
+        [sys.executable, script, "64"], capture_output=True, text=True, check=True,
+    ).stdout.splitlines()]
+    assert [row[:2] for row in rows] == [["64", "forward-f32"], ["64", "backward-f64"]]
+    for _, _, ms, peak in rows:
+        assert float(ms) > 0 and float(peak) > 1
